@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "core/stencil.hpp"
+
 namespace advect::core {
 
 StencilCoeffs CoeffField::at(int gi, int gj, int gk) const {
@@ -44,21 +46,13 @@ CoeffCache::CoeffCache(const CoeffField& cf, Extents3 local, Index3 origin)
                 for (int i = 0; i < nx_; ++i) {
                     const StencilCoeffs a =
                         cf.at(origin.i + i, origin.j + j, origin.k + k);
-                    for (int t = 0; t < 27; ++t)
-                        pool_[base + static_cast<std::size_t>(i) * 27 +
-                              static_cast<std::size_t>(t)] =
-                            a.a[static_cast<std::size_t>(t)];
+                    for (std::size_t t = 0; t < 27; ++t)
+                        pool_[base + t * static_cast<std::size_t>(nx_) +
+                              static_cast<std::size_t>(i)] = a.a[t];
                 }
             }
             row_id_[idx(j, k)] = by_key[key];
         }
-}
-
-void apply_stencil_var_row(const double* row, const double* in, double* out,
-                           int count, std::ptrdiff_t sj, std::ptrdiff_t sk) {
-    for (int x = 0; x < count; ++x)
-        out[x] = stencil_var_point(row + static_cast<std::size_t>(x) * 27,
-                                   in + x, sj, sk);
 }
 
 void apply_stencil_var_rows(const CoeffCache& cache, const Field3& in,
@@ -68,10 +62,10 @@ void apply_stencil_var_rows(const CoeffCache& cache, const Field3& in,
     const std::ptrdiff_t sk = in.xy_stride();
     rows.for_each_row(lo, hi, [&](const RowSpace::Row& r) {
         assert(r.xlo >= 0 && r.xhi <= cache.nx());
-        apply_stencil_var_row(
-            cache.row(r.j, r.k) + static_cast<std::size_t>(r.xlo) * 27,
-            in.ptr(r.xlo, r.j, r.k), out.ptr(r.xlo, r.j, r.k),
-            r.xhi - r.xlo, sj, sk);
+        apply_stencil_var_row_ptr(cache.row(r.j, r.k) + r.xlo, cache.nx(),
+                                  in.ptr(r.xlo, r.j, r.k),
+                                  out.ptr(r.xlo, r.j, r.k), r.xhi - r.xlo, sj,
+                                  sk);
     });
 }
 

@@ -17,18 +17,22 @@
 /// leaves the single-table fast path.
 ///
 /// Both varying shapes are steady, so coefficients are built ONCE per run
-/// (at plan-build time, satellite: no per-step or per-tile
-/// tensor_product_coeffs work) into a CoeffCache: a pool of distinct
-/// x-rows, deduplicated by the shape's row key — SolidBodyRotation varies
-/// with (x, y) only, so rows repeat across k and the pool holds ny rows;
-/// Deformational needs (j, k)-distinct rows.
+/// (at plan-build time: no per-step or per-tile tensor_product_coeffs work)
+/// into a CoeffCache: a pool of distinct x-rows, deduplicated by the
+/// shape's row key — SolidBodyRotation varies with (x, y) only, so rows
+/// repeat across k and the pool holds ny rows; Deformational needs
+/// (j, k)-distinct rows. Each row is stored struct-of-arrays: the nx values
+/// of term t are contiguous, so the vector row kernel, whose lanes are
+/// neighbouring points, loads every term's coefficients unit-stride.
 ///
-/// Bitwise contract: every consumer — reference loop, threaded row sweeps,
-/// team stages, simulated-GPU tiles — evaluates cells through the same
-/// `CoeffField::at` and accumulates through the same `stencil_var_point`
-/// (t = 0..26 in StencilCoeffs::index order into 0.0), so variable-
+/// Bitwise contract: every consumer — threaded row sweeps, team stages and
+/// simulated-GPU launches through apply_stencil_var_rows /
+/// apply_stencil_var_row_ptr, and run_reference through stencil_var_point —
+/// evaluates cells through the same `CoeffField::at` and accumulates each
+/// cell's 27 products into 0.0 in StencilCoeffs::index order, so variable-
 /// coefficient runs are bitwise implementation-invariant exactly like the
-/// constant path.
+/// constant path, and the reference checks the vector kernel against the
+/// scalar arithmetic rather than against itself.
 
 #include <cstdint>
 #include <vector>
@@ -55,17 +59,17 @@ struct CoeffField {
     [[nodiscard]] StencilCoeffs at(int gi, int gj, int gk) const;
 };
 
-/// Compacted per-rank coefficient table: one 27-per-cell row of doubles per
-/// *distinct* x-row of the local block, with an index from (j, k) to the
-/// shared row. Built once per rank at setup time.
+/// Compacted per-rank coefficient table: one struct-of-arrays row of
+/// 27 x nx doubles per *distinct* x-row of the local block, with an index
+/// from (j, k) to the shared row. Built once per rank at setup time.
 class CoeffCache {
   public:
     CoeffCache() = default;
     /// Rows for a local block of extents `local` at global origin `origin`.
     CoeffCache(const CoeffField& cf, Extents3 local, Index3 origin);
 
-    /// Coefficients of local row (j, k): nx cells of 27 doubles each, cell
-    /// i's coefficients at [i*27, i*27+27) in StencilCoeffs::index order.
+    /// Coefficients of local row (j, k), struct-of-arrays: term t of cell i
+    /// (t in StencilCoeffs::index order) at row(j, k)[t * nx() + i].
     [[nodiscard]] const double* row(int j, int k) const {
         return pool_.data() +
                static_cast<std::size_t>(row_id_[idx(j, k)]) * row_stride_;
@@ -107,14 +111,10 @@ class CoeffCache {
     return acc;
 }
 
-/// One x-contiguous row of `count` cells: out[x] = stencil_var_point of
-/// cell x with coefficients row[x*27 ..]. `in` points at the first cell.
-void apply_stencil_var_row(const double* row, const double* in, double* out,
-                           int count, std::ptrdiff_t sj, std::ptrdiff_t sk);
-
 /// Variable-coefficient analogue of apply_stencil_rows: rows [lo, hi) of
-/// `rows`, coefficients from `cache` (rows may start at xlo > 0; the cache
-/// row is indexed by absolute local i).
+/// `rows` through apply_stencil_var_row_ptr, coefficients from `cache`
+/// (rows may start at xlo > 0; the cache row is indexed by absolute local
+/// i).
 void apply_stencil_var_rows(const CoeffCache& cache, const Field3& in,
                             Field3& out, const RowSpace& rows,
                             std::int64_t lo, std::int64_t hi);

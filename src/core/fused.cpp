@@ -22,32 +22,19 @@ std::size_t scratch_for(int tx, int ty, int fuse) {
            static_cast<std::size_t>(ty + 2 * g);
 }
 
-/// Plan for reading a ring of 3 rotating z-plane slabs: x/y offsets follow
-/// the uniform slab stride, while the dk = -1/0/+1 input planes sit at the
-/// arbitrary (rotation-dependent) plane offsets in `dkoff`. Terms are
-/// compacted exactly as StencilPlan::make — same reference order, zero
-/// coefficients dropped — so the kernel's arithmetic is unchanged.
-StencilPlan ring_plan(const StencilCoeffs& a, std::ptrdiff_t sx,
-                      const std::ptrdiff_t dkoff[3]) {
-    StencilPlan p;
-    std::size_t t = 0;
-    int kept = 0;
-    for (int dk = -1; dk <= 1; ++dk)
-        for (int dj = -1; dj <= 1; ++dj)
-            for (int di = -1; di <= 1; ++di, ++t) {
-                if (a.a[t] == 0.0) continue;
-                p.coeff[kept] = a.a[t];
-                p.offset[kept] = di + dj * sx + dkoff[dk + 1];
-                ++kept;
-            }
-    p.terms = kept;
-    return p;
-}
-
-/// Ring slot of absolute plane index z (z may be negative near the halo).
-int slot_of(int z) { return ((z % 3) + 3) % 3; }
-
 }  // namespace
+
+std::array<StencilPlan, 3> rotation_plans(const StencilCoeffs& a,
+                                          std::ptrdiff_t x_stride,
+                                          std::ptrdiff_t plane) {
+    std::array<StencilPlan, 3> plans;
+    for (int p = 0; p < 3; ++p)
+        plans[static_cast<std::size_t>(p)] =
+            StencilPlan::make(a, x_stride,
+                              {(ring_slot(p + 2) - p) * plane, 0,
+                               (ring_slot(p + 1) - p) * plane});
+    return plans;
+}
 
 std::size_t fused_point_count(const std::vector<Range3>& regions, int fuse) {
     std::size_t pts = 0;
@@ -153,19 +140,12 @@ void apply_fused_tile(const StencilCoeffs& a, const Field3& in, Field3& out,
         return static_cast<std::ptrdiff_t>(i - tile.lo.i + g) +
                sx * (j - tile.lo.j + g);
     };
-    // Three rotation phases of the ring read: the dk = ±1 planes of a
-    // consumer centred on slot p live at slots (p±1) mod 3.
-    StencilPlan from_ring[3];
-    for (int p = 0; p < 3; ++p) {
-        const std::ptrdiff_t dkoff[3] = {(slot_of(p + 2) - p) * plane, 0,
-                                         (slot_of(p + 1) - p) * plane};
-        from_ring[p] = ring_plan(a, sx, dkoff);
-    }
+    const std::array<StencilPlan, 3> from_ring = rotation_plans(a, sx, plane);
 
     for (int z1 = tile.lo.k - g; z1 < tile.hi.k + g; ++z1) {
         // Level 1: field -> ring, on expand(tile, g) in x/y.
         {
-            double* dst = ring(1) + slot_of(z1) * plane +
+            double* dst = ring(1) + ring_slot(z1) * plane +
                           pidx(tile.lo.i - g, tile.lo.j - g);
             apply_stencil_plane_ptr(
                 from_field, in.ptr(tile.lo.i - g, tile.lo.j - g, z1), dst,
@@ -183,8 +163,9 @@ void apply_fused_tile(const StencilCoeffs& a, const Field3& in, Field3& out,
             const int zs = z1 - (s - 1);
             const int d = fuse - s;  // remaining ghost depth of level s
             if (zs < tile.lo.k - d || zs >= tile.hi.k + d) continue;
-            const StencilPlan& rp = from_ring[slot_of(zs)];
-            const double* from = ring(s - 1) + slot_of(zs) * plane;
+            const StencilPlan& rp =
+                from_ring[static_cast<std::size_t>(ring_slot(zs))];
+            const double* from = ring(s - 1) + ring_slot(zs) * plane;
             if (s == fuse) {
                 apply_stencil_plane_ptr(rp, from + pidx(tile.lo.i, tile.lo.j),
                                         out.ptr(tile.lo.i, tile.lo.j, zs),
@@ -197,7 +178,7 @@ void apply_fused_tile(const StencilCoeffs& a, const Field3& in, Field3& out,
                                      src->origin.k + zs,
                                      src->base_level + s - 1, src->field);
             } else {
-                double* dst = ring(s) + slot_of(zs) * plane +
+                double* dst = ring(s) + ring_slot(zs) * plane +
                               pidx(tile.lo.i - d, tile.lo.j - d);
                 apply_stencil_plane_ptr(
                     rp, from + pidx(tile.lo.i - d, tile.lo.j - d), dst,

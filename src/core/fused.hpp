@@ -15,6 +15,7 @@
 /// independent of the tile decomposition, which only changes *which* points
 /// are redundantly recomputed, never their values.
 
+#include <array>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -45,6 +46,18 @@ struct FusedSource {
 struct FusedTile {
     Range3 out;
 };
+
+/// Slot of z plane `z` in a rotating ring of three plane slabs (z may be
+/// negative near the halo).
+[[nodiscard]] inline int ring_slot(int z) { return ((z % 3) + 3) % 3; }
+
+/// The three rotation-phase plans for reading such a ring — row pitch
+/// `x_stride`, slabs `plane` doubles apart: phase p (the ring slot of the
+/// centre plane) finds its dk = ±1 planes in slots (p ± 1) mod 3. Both
+/// rotating tiles use them: the fused CPU tile and the simulated GPU's
+/// shared-memory tile.
+[[nodiscard]] std::array<StencilPlan, 3> rotation_plans(
+    const StencilCoeffs& a, std::ptrdiff_t x_stride, std::ptrdiff_t plane);
 
 /// Total stencil applications of one fused super-step over `regions`,
 /// including the redundant ghost-zone recomputation: for each region,

@@ -1,7 +1,6 @@
 #include "core/problem.hpp"
 
 #include "core/halo.hpp"
-#include "core/rows.hpp"
 #include "core/stencil.hpp"
 
 namespace advect::core {
@@ -33,6 +32,32 @@ BoundaryField make_boundary_field(const AdvectionProblem& p) {
             p.dt()};
 }
 
+namespace {
+
+/// The variable-coefficient reference sweep: the scalar stencil_var_point
+/// arithmetic cell by cell over the whole interior, each cell's 27
+/// coefficients gathered from its struct-of-arrays cache row — not the
+/// vector row kernel the implementations run, so every comparison against
+/// run_reference checks that kernel independently.
+void reference_var_sweep(const CoeffCache& cache, const Field3& in,
+                         Field3& out) {
+    const auto n = in.extents();
+    const auto nx = static_cast<std::size_t>(cache.nx());
+    double a[27];
+    for (int k = 0; k < n.nz; ++k)
+        for (int j = 0; j < n.ny; ++j) {
+            const double* row = cache.row(j, k);
+            for (int i = 0; i < n.nx; ++i) {
+                for (std::size_t t = 0; t < 27; ++t)
+                    a[t] = row[t * nx + static_cast<std::size_t>(i)];
+                out(i, j, k) = stencil_var_point(a, in.ptr(i, j, k),
+                                                 in.x_stride(), in.xy_stride());
+            }
+        }
+}
+
+}  // namespace
+
 Field3 run_reference(const AdvectionProblem& p, int steps) {
     const auto coeffs = p.coeffs();
     const SourceField sf = make_source_field(p);
@@ -40,12 +65,7 @@ Field3 run_reference(const AdvectionProblem& p, int steps) {
     const BoundaryField bf = make_boundary_field(p);
     const bool var = !p.constant_coefficients();
     CoeffCache cache;
-    RowSpace rows;
-    if (var) {
-        cache = CoeffCache(p.coeff_field(), p.domain.extents(), {0, 0, 0});
-        rows = RowSpace({Range3{{0, 0, 0},
-                                {p.domain.n, p.domain.n, p.domain.n}}});
-    }
+    if (var) cache = CoeffCache(p.coeff_field(), p.domain.extents(), {0, 0, 0});
     Field3 cur(p.domain.extents());
     Field3 nxt(p.domain.extents());
     fill_initial(cur, p.domain, p.wave);
@@ -61,7 +81,7 @@ Field3 run_reference(const AdvectionProblem& p, int steps) {
                                   {0, 0, 0}, s);
         }
         if (var)
-            apply_stencil_var_rows(cache, cur, nxt, rows, 0, rows.size());
+            reference_var_sweep(cache, cur, nxt);
         else
             apply_stencil(coeffs, cur, nxt);
         if (sf.active()) add_source(nxt, sf, {0, 0, 0}, nxt.interior(), s);

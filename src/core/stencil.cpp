@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <type_traits>
 
 namespace advect::core {
 
@@ -16,7 +17,7 @@ double stencil_point(const StencilCoeffs& a, const Field3& in, int i, int j,
 }
 
 StencilPlan StencilPlan::make(const StencilCoeffs& a, std::ptrdiff_t x_stride,
-                              std::ptrdiff_t xy_stride) {
+                              const std::array<std::ptrdiff_t, 3>& plane) {
     StencilPlan p;
     // StencilCoeffs::index(di, dj, dk) flattens di fastest, dk slowest —
     // the same order as the reference summation — so the coefficient array
@@ -30,11 +31,17 @@ StencilPlan StencilPlan::make(const StencilCoeffs& a, std::ptrdiff_t x_stride,
                 assert(static_cast<int>(t) == StencilCoeffs::index(di, dj, dk));
                 if (a.a[t] == 0.0) continue;
                 p.coeff[kept] = a.a[t];
-                p.offset[kept] = di + dj * x_stride + dk * xy_stride;
+                p.offset[kept] = di + dj * x_stride +
+                                 plane[static_cast<std::size_t>(dk + 1)];
                 ++kept;
             }
     p.terms = kept;
     return p;
+}
+
+StencilPlan StencilPlan::make(const StencilCoeffs& a, std::ptrdiff_t x_stride,
+                              std::ptrdiff_t xy_stride) {
+    return make(a, x_stride, {-xy_stride, 0, xy_stride});
 }
 
 StencilPlan StencilPlan::make(const StencilCoeffs& a, const Field3& shape) {
@@ -46,17 +53,22 @@ namespace detail {
 // Portable baseline build of the shared kernel body; see
 // stencil_row_kernel.inc for the blocking scheme and the bitwise argument.
 #define ADVECT_ROW_KERNEL_NAME apply_stencil_row_portable
+#define ADVECT_VAR_ROW_KERNEL_NAME apply_stencil_var_row_portable
 #define ADVECT_PLANE_KERNEL_NAME apply_stencil_plane_portable
 #define ADVECT_CHAIN_KERNEL_NAME apply_stencil_chain_portable
 #include "core/stencil_row_kernel.inc"
 #undef ADVECT_CHAIN_KERNEL_NAME
 #undef ADVECT_PLANE_KERNEL_NAME
+#undef ADVECT_VAR_ROW_KERNEL_NAME
 #undef ADVECT_ROW_KERNEL_NAME
 
 #ifdef ADVECT_HAVE_ROW_KERNEL_V3
 // AVX2 builds of the same bodies, from stencil_row_v3.cpp.
 void apply_stencil_row_v3(const StencilPlan& plan, const double* __restrict__,
                           double* __restrict__, int n);
+void apply_stencil_var_row_v3(const double* __restrict__, std::ptrdiff_t,
+                              const double* __restrict__, double* __restrict__,
+                              int n, std::ptrdiff_t, std::ptrdiff_t);
 void apply_stencil_plane_v3(const StencilPlan& plan,
                             const double* __restrict__, double* __restrict__,
                             int n, int rows, std::ptrdiff_t in_stride,
@@ -67,44 +79,23 @@ void apply_stencil_chain_v3(const StencilPlan& plan, int depth,
                             std::ptrdiff_t out_stride);
 #endif
 
-using RowKernelFn = void (*)(const StencilPlan&, const double* __restrict__,
-                             double* __restrict__, int);
-using PlaneKernelFn = void (*)(const StencilPlan&, const double* __restrict__,
-                               double* __restrict__, int, int, std::ptrdiff_t,
-                               std::ptrdiff_t);
-using ChainKernelFn = void (*)(const StencilPlan&, int,
-                               const double* __restrict__,
-                               double* __restrict__, int, int, std::ptrdiff_t,
-                               std::ptrdiff_t);
-
-RowKernelFn resolve_row_kernel() {
+// Each kernel resolves once at load time to the AVX2 clone when it is built
+// in and the host supports it, else to the portable baseline; dispatch cost
+// is one indirect call per row (per plane for the plane and chain kernels).
 #ifdef ADVECT_HAVE_ROW_KERNEL_V3
-    if (__builtin_cpu_supports("avx2")) return apply_stencil_row_v3;
+#define ADVECT_PICK(name) \
+    (__builtin_cpu_supports("avx2") ? name##_v3 : name##_portable)
+#else
+#define ADVECT_PICK(name) name##_portable
 #endif
-    return apply_stencil_row_portable;
-}
-
-PlaneKernelFn resolve_plane_kernel() {
-#ifdef ADVECT_HAVE_ROW_KERNEL_V3
-    if (__builtin_cpu_supports("avx2")) return apply_stencil_plane_v3;
-#endif
-    return apply_stencil_plane_portable;
-}
-
-ChainKernelFn resolve_chain_kernel() {
-#ifdef ADVECT_HAVE_ROW_KERNEL_V3
-    if (__builtin_cpu_supports("avx2")) return apply_stencil_chain_v3;
-#endif
-    return apply_stencil_chain_portable;
-}
-
-// Resolved once at load time; dispatch cost is one indirect call per row.
-const RowKernelFn row_kernel = resolve_row_kernel();
-const PlaneKernelFn plane_kernel = resolve_plane_kernel();
-const ChainKernelFn chain_kernel = resolve_chain_kernel();
+const auto row_kernel = ADVECT_PICK(apply_stencil_row);
+const auto var_row_kernel = ADVECT_PICK(apply_stencil_var_row);
+const auto plane_kernel = ADVECT_PICK(apply_stencil_plane);
+const auto chain_kernel = ADVECT_PICK(apply_stencil_chain);
+#undef ADVECT_PICK
 
 bool row_kernel_is_vectorized() {
-    return row_kernel != static_cast<RowKernelFn>(apply_stencil_row_portable);
+    return row_kernel != &apply_stencil_row_portable;
 }
 
 }  // namespace detail
@@ -112,6 +103,14 @@ bool row_kernel_is_vectorized() {
 void apply_stencil_row_ptr(const StencilPlan& plan, const double* in,
                            double* out, int n) {
     detail::row_kernel(plan, in, out, n);
+}
+
+void apply_stencil_var_row_ptr(const double* coeff,
+                               std::ptrdiff_t coeff_stride, const double* in,
+                               double* out, int n, std::ptrdiff_t x_stride,
+                               std::ptrdiff_t xy_stride) {
+    detail::var_row_kernel(coeff, coeff_stride, in, out, n, x_stride,
+                           xy_stride);
 }
 
 void apply_stencil_plane_ptr(const StencilPlan& plan, const double* in,
@@ -129,7 +128,6 @@ void apply_stencil_chain_ptr(const StencilPlan& plan, int depth,
     assert(depth >= 1);
     detail::chain_kernel(plan, depth, in, out, n, rows, in_stride, out_stride);
 }
-
 
 void apply_stencil(const StencilCoeffs& a, const Field3& in, Field3& out,
                    const Range3& r) {

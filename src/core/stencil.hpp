@@ -47,6 +47,14 @@ struct StencilPlan {
     std::array<std::ptrdiff_t, 27> offset{};
     int terms = 27;  ///< leading entries with nonzero coefficients
 
+    /// Plan for a layout whose j rows sit `x_stride` doubles apart and whose
+    /// dk = -1, 0, +1 planes sit at `plane[0..2]` doubles from the centre —
+    /// arbitrary distances, so a rotating ring of z-plane slabs (the fused
+    /// CPU tile, the simulated GPU's shared-memory tile) is planned by the
+    /// same compacting builder as a padded field.
+    [[nodiscard]] static StencilPlan make(
+        const StencilCoeffs& a, std::ptrdiff_t x_stride,
+        const std::array<std::ptrdiff_t, 3>& plane);
     /// Plan for a layout with the given strides (in doubles): consecutive
     /// j rows `x_stride` apart, consecutive k planes `xy_stride` apart.
     [[nodiscard]] static StencilPlan make(const StencilCoeffs& a,
@@ -65,6 +73,19 @@ struct StencilPlan {
 /// shared-memory tile and global memory on the simulated GPU).
 void apply_stencil_row_ptr(const StencilPlan& plan, const double* in,
                            double* out, int n);
+
+/// Variable-coefficient twin of apply_stencil_row_ptr — the same kernel
+/// body, with each point's 27 coefficients read from a struct-of-arrays row
+/// instead of the plan's broadcast table: term t of point x is
+/// coeff[t * coeff_stride + x], t in StencilCoeffs::index order. The input
+/// layout has rows `x_stride` and planes `xy_stride` doubles apart. Vector
+/// lanes are points, so each lane loads its coefficients unit-stride and
+/// accumulates all 27 products into 0.0 in index order — bitwise-identical
+/// to stencil_var_point (core/coeff_cache.hpp) for every x.
+void apply_stencil_var_row_ptr(const double* coeff,
+                               std::ptrdiff_t coeff_stride, const double* in,
+                               double* out, int n, std::ptrdiff_t x_stride,
+                               std::ptrdiff_t xy_stride);
 
 /// The same row kernel over `rows` consecutive rows whose sources advance by
 /// `in_stride` and destinations by `out_stride` doubles per row: one
@@ -100,9 +121,18 @@ void apply_stencil_row_portable(const StencilPlan& plan,
                                 const double* __restrict__ in,
                                 double* __restrict__ out, int n);
 
-/// True when apply_stencil_row_ptr dispatches to the AVX2 clone on this
-/// host (clone built in AND CPU supports it); false means the dispatched
-/// path *is* the portable baseline.
+/// Portable baseline build of apply_stencil_var_row_ptr, for the same
+/// portable-versus-dispatched parity tests.
+void apply_stencil_var_row_portable(const double* __restrict__ coeff,
+                                    std::ptrdiff_t coeff_stride,
+                                    const double* __restrict__ in,
+                                    double* __restrict__ out, int n,
+                                    std::ptrdiff_t x_stride,
+                                    std::ptrdiff_t xy_stride);
+
+/// True when apply_stencil_row_ptr (and its variable, plane and chain
+/// siblings) dispatch to the AVX2 clone on this host (clone built in AND CPU
+/// supports it); false means the dispatched path *is* the portable baseline.
 [[nodiscard]] bool row_kernel_is_vectorized();
 
 }  // namespace detail

@@ -5,16 +5,20 @@
 /// stencil.cpp. Same source body, same operation order, so results are
 /// bitwise-identical to the reference — only the vector width differs.
 
+#include <type_traits>
+
 #include "core/stencil.hpp"
 
 namespace advect::core::detail {
 
 #define ADVECT_ROW_KERNEL_NAME apply_stencil_row_v3
+#define ADVECT_VAR_ROW_KERNEL_NAME apply_stencil_var_row_v3
 #define ADVECT_PLANE_KERNEL_NAME apply_stencil_plane_v3
 #define ADVECT_CHAIN_KERNEL_NAME apply_stencil_chain_v3
 #include "core/stencil_row_kernel.inc"
 #undef ADVECT_CHAIN_KERNEL_NAME
 #undef ADVECT_PLANE_KERNEL_NAME
+#undef ADVECT_VAR_ROW_KERNEL_NAME
 #undef ADVECT_ROW_KERNEL_NAME
 
 }  // namespace advect::core::detail

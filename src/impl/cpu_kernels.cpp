@@ -67,33 +67,6 @@ void halo_fill_parallel(omp::ThreadTeam& team, core::Field3& f) {
     }
 }
 
-void stencil_parallel(omp::ThreadTeam& team, const core::StencilCoeffs& a,
-                      const core::Field3& in, core::Field3& out,
-                      const core::RowSpace& rows, omp::Schedule schedule) {
-    omp::parallel_for(team, 0, rows.size(), schedule,
-                      [&a, &in, &out, &rows](std::int64_t lo, std::int64_t hi) {
-                          core::apply_stencil_rows(a, in, out, rows, lo, hi);
-                      });
-}
-
-void stencil_var_parallel(omp::ThreadTeam& team, const core::CoeffCache& cache,
-                          const core::Field3& in, core::Field3& out,
-                          const core::RowSpace& rows, omp::Schedule schedule) {
-    omp::parallel_for(
-        team, 0, rows.size(), schedule,
-        [&cache, &in, &out, &rows](std::int64_t lo, std::int64_t hi) {
-            core::apply_stencil_var_rows(cache, in, out, rows, lo, hi);
-        });
-}
-
-void copy_parallel(omp::ThreadTeam& team, const core::Field3& src,
-                   core::Field3& dst, const core::RowSpace& rows) {
-    omp::parallel_for(team, 0, rows.size(), omp::Schedule::Static,
-                      [&src, &dst, &rows](std::int64_t lo, std::int64_t hi) {
-                          core::copy_rows(src, dst, rows, lo, hi);
-                      });
-}
-
 void write_block(core::Field3& global, const core::Field3& local,
                  const core::Index3& origin) {
     const auto n = local.extents();

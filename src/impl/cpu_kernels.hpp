@@ -1,12 +1,12 @@
 #pragma once
 /// \file cpu_kernels.hpp
 /// Thread-parallel building blocks shared by the CPU sides of all
-/// implementations: the periodic halo copy (paper Step 1), the stencil
-/// update (Step 2), the new-to-current state copy (Step 3), plus small
-/// utilities (timing, global assembly, result finishing).
+/// implementations: the periodic halo copy (paper Step 1), plus small
+/// utilities (timing, global assembly, result finishing). The stencil
+/// update (Step 2) and the new-to-current state copy (Step 3) run through
+/// PlanExecutor's one sweep dispatch (impl/plan_executor.hpp).
 
-#include "core/coeff_cache.hpp"
-#include "core/rows.hpp"
+#include "core/field.hpp"
 #include "impl/config.hpp"
 #include "omp/parallel_for.hpp"
 
@@ -20,29 +20,6 @@ namespace advect::impl {
 /// dimension-serialized, rows parallelised across the team (the paper
 /// parallelises the outer loops of the doubly nested copy loops).
 void halo_fill_parallel(advect::omp::ThreadTeam& team, core::Field3& f);
-
-/// Step 2: apply the stencil over `rows`, scheduled across the team.
-void stencil_parallel(advect::omp::ThreadTeam& team,
-                      const core::StencilCoeffs& a, const core::Field3& in,
-                      core::Field3& out, const core::RowSpace& rows,
-                      advect::omp::Schedule schedule =
-                          advect::omp::Schedule::Static);
-
-/// Step 2, variable-coefficient scenarios: the same row sweep reading each
-/// cell's coefficients from the per-rank cache (bitwise-shared arithmetic
-/// with the reference loop; see core/coeff_cache.hpp).
-void stencil_var_parallel(advect::omp::ThreadTeam& team,
-                          const core::CoeffCache& cache,
-                          const core::Field3& in, core::Field3& out,
-                          const core::RowSpace& rows,
-                          advect::omp::Schedule schedule =
-                              advect::omp::Schedule::Static);
-
-/// Step 3: copy the new state back to the current state over `rows`
-/// (the paper copies rather than swapping buffers in the CPU
-/// implementations; we reproduce that).
-void copy_parallel(advect::omp::ThreadTeam& team, const core::Field3& src,
-                   core::Field3& dst, const core::RowSpace& rows);
 
 /// Write `local`'s interior into `global` at `origin`. Writes are disjoint
 /// across ranks, so concurrent assembly needs no locking.

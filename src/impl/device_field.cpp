@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
+#include <vector>
 
+#include "core/fused.hpp"
 #include "core/halo.hpp"
 #include "core/stencil.hpp"
 
@@ -12,105 +15,43 @@ void upload_coefficients(gpu::Device& device, const core::StencilCoeffs& a) {
     device.set_constants(a.a);
 }
 
+namespace {
+
+/// Stage rows [y0, y0 + h) x [x0, x0 + w) of z plane `z` of `layout`'s
+/// padded field into `tile` (row pitch `pitch`, tile (0, 0) = (x0, y0)):
+/// one contiguous copy of each row's x-run, clamped to the padded bounds so
+/// an edge block never reads outside the allocation.
+void stage_plane(const double* src, const DeviceField& layout, double* tile,
+                 int pitch, int x0, int y0, int w, int h, int z) {
+    const auto n = layout.extents();
+    const int hw = layout.halo_width();
+    const int xlo = std::max(x0, -hw);
+    const int xhi = std::min(x0 + w, n.nx + hw);
+    const int ylo = std::max(y0, -hw);
+    const int yhi = std::min(y0 + h, n.ny + hw);
+    if (xlo >= xhi) return;
+    const std::size_t bytes = static_cast<std::size_t>(xhi - xlo) *
+                              sizeof(double);
+    for (int gy = ylo; gy < yhi; ++gy)
+        std::memcpy(tile + static_cast<std::size_t>(gy - y0) * pitch +
+                        (xlo - x0),
+                    src + layout.offset(xlo, gy, z), bytes);
+}
+
+}  // namespace
+
 void launch_stencil(gpu::Stream& stream, gpu::Device& device,
                     const DeviceField& in, DeviceField& out,
                     const core::Range3& region, int bx, int by,
-                    const GpuSource& msrc) {
+                    const GpuSource& msrc, int fuse) {
     assert(in.extents() == out.extents());
-    if (region.empty()) return;
-    const auto n = in.extents();
-    const auto e = region.extents();
-    const gpu::Dim3 grid{(e.nx + bx - 1) / bx, (e.ny + by - 1) / by, 1};
-    const gpu::Dim3 block{bx + 2, by + 2, 1};  // fringe = halo threads
-    const int tx = bx + 2, ty = by + 2;
-    const std::size_t plane = static_cast<std::size_t>(tx) * ty;
-    const std::size_t shared_doubles = 3 * plane;  // rotating z-1, z, z+1
-
-    auto consts = device.constants();
-    auto src = in.buffer().span();
-    auto dst = out.buffer().span();
-    // Copies hold the buffer handles alive until the op has run, and carry
-    // the extents for offset math.
-    const DeviceField in_layout = in;
-    const DeviceField out_hold = out;
-
-    stream.launch(grid, block, shared_doubles, [=, lo = region.lo,
-                                                hi = region.hi](
-                                                   gpu::Dim3 bidx, gpu::Dim3,
-                                                   std::span<double> shared) {
-        (void)out_hold;  // keeps the output buffer alive until the op runs
-        const int x0 = lo.i + bidx.x * bx;  // first computed x of this block
-        const int y0 = lo.j + bidx.y * by;
-        const int cx = std::min(bx, hi.i - x0);  // computed extent
-        const int cy = std::min(by, hi.j - y0);
-        double* tile[3] = {shared.data(), shared.data() + plane,
-                           shared.data() + 2 * plane};
-
-        // Halo threads included: load rows [x0-1, x0+bx] x [y0-1, y0+by] of
-        // plane k, guarded against the padded bounds for edge blocks.
-        auto load_plane = [&](double* t, int k) {
-            for (int lty = 0; lty < ty; ++lty) {
-                const int gy = y0 - 1 + lty;
-                if (gy < -1 || gy > n.ny) continue;
-                for (int ltx = 0; ltx < tx; ++ltx) {
-                    const int gx = x0 - 1 + ltx;
-                    if (gx < -1 || gx > n.nx) continue;
-                    t[static_cast<std::size_t>(lty) * tx + ltx] =
-                        src[in_layout.offset(gx, gy, k)];
-                }
-            }
-        };
-
-        load_plane(tile[0], lo.k - 1);
-        load_plane(tile[1], lo.k);
-        for (int k = lo.k; k < hi.k; ++k) {
-            load_plane(tile[2], k + 1);
-            // Rebuild the plan for the current plane rotation: dk offsets
-            // are the pointer distances between the shared-memory planes
-            // (all within one shared allocation), dj/di use tile strides.
-            // The row kernel is the *same code* as the CPU fast path, so
-            // results are bitwise identical to core::stencil_point.
-            core::StencilPlan plan;
-            std::copy_n(consts.begin(), 27, plan.coeff.begin());
-            std::size_t t = 0;
-            for (int dk = -1; dk <= 1; ++dk) {
-                const std::ptrdiff_t dplane = tile[dk + 1] - tile[1];
-                for (int dj = -1; dj <= 1; ++dj)
-                    for (int di = -1; di <= 1; ++di, ++t)
-                        plan.offset[t] = dplane + dj * tx + di;
-            }
-            for (int ly = 0; ly < cy; ++ly) {
-                const double* in_row =
-                    tile[1] + static_cast<std::size_t>(ly + 1) * tx + 1;
-                double* out_row = dst.data() + in_layout.offset(x0, y0 + ly, k);
-                core::apply_stencil_row_ptr(plan, in_row, out_row, cx);
-                if (msrc.active())
-                    core::add_source_plane(out_row, 0, cx, 1,
-                                           msrc.origin.i + x0,
-                                           msrc.origin.j + y0 + ly,
-                                           msrc.origin.k + k, msrc.level,
-                                           msrc.field);
-            }
-            std::rotate(&tile[0], &tile[1], &tile[3]);  // z planes advance
-        }
-    });
-}
-
-void launch_stencil_fused(gpu::Stream& stream, gpu::Device& device,
-                          const DeviceField& in, DeviceField& out,
-                          const core::Range3& region, int bx, int by,
-                          int fuse, const GpuSource& msrc) {
-    assert(in.extents() == out.extents());
-    if (fuse <= 1) {
-        launch_stencil(stream, device, in, out, region, bx, by, msrc);
-        return;
-    }
+    assert(fuse >= 1);
     if (region.empty()) return;
     assert(in.halo_width() >= fuse && out.halo_width() >= fuse);
-    const auto n = in.extents();
     const auto e = region.extents();
     const gpu::Dim3 grid{(e.nx + bx - 1) / bx, (e.ny + by - 1) / by, 1};
-    // Widest fringe: level 0 stages rows 2*fuse wider than the write set.
+    // Widest fringe: level 0 stages rows 2*fuse wider than the write set
+    // (the halo threads of a (bx+2) x (by+2) block at fuse 1).
     const gpu::Dim3 block{bx + 2 * fuse, by + 2 * fuse, 1};
     // Rotating staging planes per level: level s (s steps ahead of the
     // input) keeps three xy planes of extent (bx + 2*(fuse-s)) x
@@ -127,93 +68,77 @@ void launch_stencil_fused(gpu::Stream& stream, gpu::Device& device,
     auto consts = device.constants();
     auto src = in.buffer().span();
     auto dst = out.buffer().span();
+    // Copies hold the buffer handles alive until the op has run, and carry
+    // the extents for offset math.
     const DeviceField in_layout = in;
     const DeviceField out_hold = out;
-    const int hw = in.halo_width();
+    const std::ptrdiff_t out_pitch = in.extents().nx + 2 * in.halo_width();
 
     stream.launch(grid, block, shared_doubles, [=, lo = region.lo,
                                                 hi = region.hi](
                                                    gpu::Dim3 bidx, gpu::Dim3,
                                                    std::span<double> shared) {
-        (void)out_hold;
-        const int x0 = lo.i + bidx.x * bx;
+        (void)out_hold;  // keeps the output buffer alive until the op runs
+        const int x0 = lo.i + bidx.x * bx;  // first computed x of this block
         const int y0 = lo.j + bidx.y * by;
-        const int cx = std::min(bx, hi.i - x0);
+        const int cx = std::min(bx, hi.i - x0);  // computed extent
         const int cy = std::min(by, hi.j - y0);
-
+        const auto pitch = [&](int s) { return bx + 2 * (fuse - s); };
+        const auto plane_size = [&](int s) {
+            return static_cast<std::size_t>(pitch(s)) *
+                   static_cast<std::size_t>(by + 2 * (fuse - s));
+        };
         // Shared-memory base of level s's staging plane holding global z
-        // plane `z` (rotation by modular slot: each level reuses its three
-        // planes as the z wavefront advances).
-        auto level_base = [&](int s, int z) {
-            const std::size_t px = static_cast<std::size_t>(bx +
-                                                            2 * (fuse - s));
-            const std::size_t py = static_cast<std::size_t>(by +
-                                                            2 * (fuse - s));
+        // plane `z` (each level reuses its three planes as the z wavefront
+        // advances).
+        const auto level_base = [&](int s, int z) {
             return shared.data() + plane_off[static_cast<std::size_t>(s)] +
-                   static_cast<std::size_t>(((z % 3) + 3) % 3) * px * py;
+                   static_cast<std::size_t>(core::ring_slot(z)) * plane_size(s);
         };
 
-        // Stage input plane z: rows [y0-fuse, y0+cy+fuse) x
-        // [x0-fuse, x0+cx+fuse), guarded against the padded bounds.
-        auto load_plane0 = [&](int z) {
-            double* t0 = level_base(0, z);
-            const int px0 = bx + 2 * fuse;
-            for (int ly = 0; ly < cy + 2 * fuse; ++ly) {
-                const int gy = y0 - fuse + ly;
-                if (gy < -hw || gy >= n.ny + hw) continue;
-                for (int lx = 0; lx < cx + 2 * fuse; ++lx) {
-                    const int gx = x0 - fuse + lx;
-                    if (gx < -hw || gx >= n.nx + hw) continue;
-                    t0[static_cast<std::size_t>(ly) * px0 + lx] =
-                        src[in_layout.offset(gx, gy, z)];
-                }
-            }
-        };
+        // Plans from constant memory, compacted like the CPU paths' (a
+        // Courant-1 table runs one term): level s reads level s-1's slots,
+        // whose dk = ±1 planes sit at rotation-dependent distances, so each
+        // level has one plan per rotation phase — built once per block.
+        core::StencilCoeffs a;
+        std::copy_n(consts.begin(), 27, a.a.begin());
+        std::vector<std::array<core::StencilPlan, 3>> plans;
+        plans.reserve(static_cast<std::size_t>(fuse));
+        for (int s = 1; s <= fuse; ++s)
+            plans.push_back(core::rotation_plans(
+                a, pitch(s - 1),
+                static_cast<std::ptrdiff_t>(plane_size(s - 1))));
 
-        // Advance plane t of level s from level s-1's planes t-1, t, t+1.
-        // Every transition is the same row kernel as the CPU paths; the dk
-        // offsets are the pointer distances between the rotated slots.
-        auto compute_level = [&](int s, int t) {
-            const int gsrc = fuse - (s - 1);
+        // Advance plane t of level s from level s-1's planes t-1, t, t+1:
+        // one plane call of the same row kernel as the CPU paths, so the
+        // result is bitwise identical to core::stencil_point.
+        const auto compute_level = [&](int s, int t) {
             const int gdst = fuse - s;
-            const int pxs = bx + 2 * gsrc;
-            const int pxd = bx + 2 * gdst;
             const int wx = cx + 2 * gdst;
             const int wy = cy + 2 * gdst;
-            const double* center = level_base(s - 1, t);
-            core::StencilPlan plan;
-            std::copy_n(consts.begin(), 27, plan.coeff.begin());
-            std::size_t ti = 0;
-            for (int dk = -1; dk <= 1; ++dk) {
-                const std::ptrdiff_t dplane =
-                    level_base(s - 1, t + dk) - center;
-                for (int dj = -1; dj <= 1; ++dj)
-                    for (int di = -1; di <= 1; ++di, ++ti)
-                        plan.offset[ti] = dplane + dj * pxs + di;
-            }
-            for (int ly = 0; ly < wy; ++ly) {
-                const double* src_row =
-                    center + static_cast<std::size_t>(ly + 1) * pxs + 1;
-                double* dst_row =
-                    s == fuse
-                        ? dst.data() + in_layout.offset(x0, y0 + ly, t)
-                        : level_base(s, t) +
-                              static_cast<std::size_t>(ly) * pxd;
-                core::apply_stencil_row_ptr(plan, src_row, dst_row, wx);
-                if (msrc.active())
-                    core::add_source_plane(dst_row, 0, wx, 1,
-                                           msrc.origin.i + x0 - gdst,
-                                           msrc.origin.j + y0 - gdst + ly,
-                                           msrc.origin.k + t,
-                                           msrc.level + s - 1, msrc.field);
-            }
+            const double* from = level_base(s - 1, t) + pitch(s - 1) + 1;
+            double* to = s == fuse ? dst.data() + in_layout.offset(x0, y0, t)
+                                   : level_base(s, t);
+            const std::ptrdiff_t to_pitch = s == fuse ? out_pitch : pitch(s);
+            core::apply_stencil_plane_ptr(
+                plans[static_cast<std::size_t>(s - 1)]
+                     [static_cast<std::size_t>(core::ring_slot(t))],
+                from, to, wx, wy, pitch(s - 1), to_pitch);
+            if (msrc.active())
+                core::add_source_plane(to, to_pitch, wx, wy,
+                                       msrc.origin.i + x0 - gdst,
+                                       msrc.origin.j + y0 - gdst,
+                                       msrc.origin.k + t, msrc.level + s - 1,
+                                       msrc.field);
         };
 
-        // z wavefront: as input plane z is staged, each level s can advance
-        // its plane z - s (its three source planes are the level s-1 slots
-        // still resident), and level `fuse` streams finished planes out.
+        // z wavefront: as input plane z is staged (halo rows included), each
+        // level s can advance its plane z - s (its three source planes are
+        // the level s-1 slots still resident), and level `fuse` streams
+        // finished planes out.
         for (int z = lo.k - fuse; z < hi.k + fuse; ++z) {
-            load_plane0(z);
+            stage_plane(src.data(), in_layout, level_base(0, z), pitch(0),
+                        x0 - fuse, y0 - fuse, cx + 2 * fuse, cy + 2 * fuse, z);
             for (int s = 1; s <= fuse; ++s) {
                 const int t = z - s;
                 const int gdst = fuse - s;
@@ -239,21 +164,19 @@ void launch_stencil_var(gpu::Stream& stream, const DeviceField& in,
 
     // Memory-bound single-block kernel (like the pack/halo kernels): the
     // rows stream straight from the padded global layout through the same
-    // row kernel as the CPU variable path.
+    // vector row kernel as the CPU variable path.
     stream.launch({1, 1, 1}, {1, 1, 1}, 0, [=, c = &cache](
                                                gpu::Dim3, gpu::Dim3,
                                                std::span<double>) {
         (void)out_hold;
+        const int cx = region.hi.i - region.lo.i;
         for (int k = region.lo.k; k < region.hi.k; ++k)
             for (int j = region.lo.j; j < region.hi.j; ++j) {
-                const int cx = region.hi.i - region.lo.i;
-                const double* row = c->row(j, k) +
-                                    static_cast<std::size_t>(region.lo.i) * 27;
-                const double* in_row =
-                    src.data() + in_layout.offset(region.lo.i, j, k);
-                double* out_row =
-                    dst.data() + in_layout.offset(region.lo.i, j, k);
-                core::apply_stencil_var_row(row, in_row, out_row, cx, sj, sk);
+                const std::size_t at = in_layout.offset(region.lo.i, j, k);
+                double* out_row = dst.data() + at;
+                core::apply_stencil_var_row_ptr(c->row(j, k) + region.lo.i,
+                                                c->nx(), src.data() + at,
+                                                out_row, cx, sj, sk);
                 if (msrc.active())
                     core::add_source_plane(out_row, 0, cx, 1,
                                            msrc.origin.i + region.lo.i,

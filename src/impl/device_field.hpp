@@ -6,6 +6,12 @@
 /// keeping three rotating xy tile planes), periodic-halo kernels, and
 /// pack/unpack kernels that stage strided face regions into contiguous
 /// buffers so PCIe traffic moves in large chunks (§IV-F).
+///
+/// The stencil kernels do no arithmetic of their own: the tiled kernel
+/// stages each tile row with one contiguous copy and hands every tile plane
+/// to core::apply_stencil_plane_ptr with a compacted StencilPlan, and the
+/// variable kernel hands every row to core::apply_stencil_var_row_ptr — the
+/// vector row kernel every CPU sweep runs (docs/PERF.md §2).
 
 #include <array>
 
@@ -74,42 +80,36 @@ class DeviceField {
 /// ("the a_ijk values are in GPU constant memory", §IV-E).
 void upload_coefficients(gpu::Device& device, const core::StencilCoeffs& a);
 
-/// Launch the tiled stencil kernel over `region` of the padded field:
-/// out(p) = Equation 2 applied to in. Thread blocks are (bx+2, by+2): the
-/// two-point fringe are halo threads that only load the shared tile. Three
-/// shared tile planes (z-1, z, z+1) rotate as threads iterate z. The halos
-/// of `in` covering region+1 must be valid. Arithmetic order matches the
-/// CPU kernels bitwise. An active `src` adds the manufactured increment Q to
-/// every written row, bitwise-identical to the CPU source hook.
+/// Launch the tiled stencil kernel over `region` of the padded field,
+/// advancing it `fuse` steps (1 = one plain Equation 2 update). Thread
+/// blocks are (bx + 2*fuse) x (by + 2*fuse): the fringe are halo threads
+/// that only load the shared tile — at fuse 1 the paper's (bx+2) x (by+2)
+/// block with three shared tile planes (z-1, z, z+1) rotating as threads
+/// iterate z. Each block pipelines a z wavefront through `fuse` levels of
+/// rotating shared-memory xy planes: level 0 stages the input, one
+/// contiguous copy per tile row clamped to the padded bounds; level s holds
+/// the state s steps ahead on a tile shrunk by s ghost layers; level `fuse`
+/// rows are written straight to `out` over `region`. Every level is one
+/// plane call of the CPU paths' row kernel, with plans compacted from the
+/// device's constant memory by StencilPlan::make (a Courant-1 table runs
+/// one term), so the result is bitwise-identical to `fuse` successive
+/// core::apply_stencil sweeps. The halos of `in` covering region+fuse must
+/// be valid (halo_width() >= fuse). An active `src` adds Q to every level-s
+/// row at time level src.level + s - 1, bitwise-identical to the CPU source
+/// hook and the fused CPU pipeline.
 void launch_stencil(gpu::Stream& stream, gpu::Device& device,
                     const DeviceField& in, DeviceField& out,
                     const core::Range3& region, int bx, int by,
-                    const GpuSource& src = {});
+                    const GpuSource& src = {}, int fuse = 1);
 
-/// Launch the temporally-blocked stencil kernel: advance `region` by `fuse`
-/// steps in one launch. Each thread block pipelines a z wavefront through
-/// `fuse` levels of rotating shared-memory xy planes — level 0 stages the
-/// input (like launch_stencil's three planes, but 2*fuse wider), level s
-/// holds the state s steps ahead on a tile shrunk by s ghost layers, and
-/// level `fuse` rows are written straight to `out` over `region`. The halos
-/// of `in` covering region+fuse must be valid (halo_width() >= the
-/// overhang). Every level runs the same apply_stencil_row_ptr row kernel as
-/// the CPU paths, so the result is bitwise-identical to `fuse` successive
-/// launch_stencil calls. An active `src` adds Q to every staged level-s row
-/// at time level src.level + s - 1, mirroring the fused CPU pipeline.
-void launch_stencil_fused(gpu::Stream& stream, gpu::Device& device,
-                          const DeviceField& in, DeviceField& out,
-                          const core::Range3& region, int bx, int by,
-                          int fuse, const GpuSource& src = {});
-
-/// Launch the variable-coefficient stencil kernel over `region`: each cell
-/// reads its 27 coefficients from the per-rank cache and accumulates through
-/// core::stencil_var_point, bitwise-identical to the CPU variable path. No
-/// shared-memory tiling: the per-cell coefficient stream (27 doubles/cell)
-/// dominates traffic, so the constant path's tile reuse does not apply.
-/// `cache` is captured by pointer — it is built once at rank setup and
-/// outlives every stream drain of the run. An active `src` adds Q exactly
-/// like the CPU hook.
+/// Launch the variable-coefficient stencil kernel over `region`: each row
+/// runs core::apply_stencil_var_row_ptr — the CPU variable path's vector
+/// row kernel — over the cache's struct-of-arrays coefficients,
+/// bitwise-identical to core::stencil_var_point. No shared-memory tiling:
+/// the per-cell coefficient stream (27 doubles/cell) dominates traffic, so
+/// the constant path's tile reuse does not apply. `cache` is captured by
+/// pointer — it is built once at rank setup and outlives every stream drain
+/// of the run. An active `src` adds Q exactly like the CPU hook.
 void launch_stencil_var(gpu::Stream& stream, const DeviceField& in,
                         DeviceField& out, const core::Range3& region,
                         const core::CoeffCache& cache,

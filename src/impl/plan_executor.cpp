@@ -227,28 +227,16 @@ void PlanExecutor::run_team_stages() {
     const bool tracing = trace::enabled();
     std::vector<std::unique_ptr<omp::LoopScheduler>> scheds;
     scheds.reserve(stages_.size());
-    for (const std::size_t si : stages_) {
-        // Fused stencil stages drain tiles; the rest drain rows.
-        const std::int64_t count =
-            fused_[si].size() > 0
-                ? static_cast<std::int64_t>(fused_[si].size())
-                : rows_[si].size();
+    for (const std::size_t si : stages_)
         scheds.push_back(std::make_unique<omp::LoopScheduler>(
-            0, count, to_omp(plan_->tasks[si].payload.schedule),
+            0, units(si), to_omp(plan_->tasks[si].payload.schedule),
             ctx_.team->size()));
-    }
 
     const std::size_t nstages = stages_.size();
     std::vector<double> stage_end(nstages, 0.0);
     double master0 = 0.0;
     double master1 = 0.0;
-    core::FusedSource fsrc;
-    const core::FusedSource* fsrc_ptr = nullptr;
     const int level = base_level();
-    if (has_source()) {
-        fsrc = {*ctx_.source, ctx_.origin, level};
-        fsrc_ptr = &fsrc;
-    }
     const double region0 = tracing ? trace::now() : 0.0;
 
     // With open faces the master interleaves each dimension's boundary
@@ -289,44 +277,9 @@ void PlanExecutor::run_team_stages() {
             if (tracing) master1 = trace::now();
         }
         for (std::size_t s = 0; s < nstages; ++s) {
-            const plan::Task& t = plan_->tasks[stages_[s]];
-            const core::RowSpace& rows = rows_[stages_[s]];
-            const core::FusedSweepPlan& fp = fused_[stages_[s]];
-            if (fp.size() > 0) {
-                omp::drain(*scheds[s], id,
-                           [&](std::int64_t lo, std::int64_t hi) {
-                               for (std::int64_t ti = lo; ti < hi; ++ti)
-                                   core::apply_fused_tile(
-                                       *ctx_.coeffs, *ctx_.cur, *ctx_.nxt,
-                                       fp.tiles()[static_cast<std::size_t>(
-                                                      ti)]
-                                           .out,
-                                       fp.fuse(), scratch(id), fsrc_ptr);
-                           });
-            } else if (t.op == plan::Op::Stencil) {
-                omp::drain(*scheds[s], id,
-                           [&](std::int64_t lo, std::int64_t hi) {
-                               if (plan_->var_coeff)
-                                   core::apply_stencil_var_rows(
-                                       *ctx_.coeff_cache, *ctx_.cur,
-                                       *ctx_.nxt, rows, lo, hi);
-                               else
-                                   core::apply_stencil_rows(*ctx_.coeffs,
-                                                            *ctx_.cur,
-                                                            *ctx_.nxt, rows,
-                                                            lo, hi);
-                               if (fsrc_ptr != nullptr)
-                                   add_source_rows(*ctx_.nxt, rows, lo, hi,
-                                                   *ctx_.source, ctx_.origin,
-                                                   level);
-                           });
-            } else {
-                omp::drain(*scheds[s], id,
-                           [&](std::int64_t lo, std::int64_t hi) {
-                               core::copy_rows(*ctx_.nxt, *ctx_.cur, rows, lo,
-                                               hi);
-                           });
-            }
+            omp::drain(*scheds[s], id, [&](std::int64_t lo, std::int64_t hi) {
+                sweep(stages_[s], lo, hi, id);
+            });
             // "An OpenMP barrier ensures that the master thread completes
             // communication before computation begins on the boundary."
             if (s + 1 < nstages) {
@@ -376,30 +329,42 @@ void PlanExecutor::run_task_retrying(const plan::Task& task,
     }
 }
 
-void PlanExecutor::run_fused_stencil(std::size_t index, plan::Sched schedule) {
-    const core::FusedSweepPlan& fp = fused_[index];
-    core::FusedSource fsrc;
-    const core::FusedSource* src = nullptr;
-    if (has_source()) {
-        fsrc = {*ctx_.source, ctx_.origin, base_level()};
-        src = &fsrc;
+std::int64_t PlanExecutor::units(std::size_t index) const {
+    return fused_[index].size() > 0
+               ? static_cast<std::int64_t>(fused_[index].size())
+               : rows_[index].size();
+}
+
+void PlanExecutor::sweep(std::size_t index, std::int64_t lo, std::int64_t hi,
+                         int tid) {
+    const core::RowSpace& rows = rows_[index];
+    if (plan_->tasks[index].op == plan::Op::Copy) {
+        core::copy_rows(*ctx_.nxt, *ctx_.cur, rows, lo, hi);
+        return;
     }
-    omp::LoopScheduler sched(0, static_cast<std::int64_t>(fp.size()),
-                             to_omp(schedule), ctx_.team->size());
-    ctx_.team->parallel([&](int id) {
-        omp::drain(sched, id, [&](std::int64_t lo, std::int64_t hi) {
-            for (std::int64_t ti = lo; ti < hi; ++ti)
-                core::apply_fused_tile(
-                    *ctx_.coeffs, *ctx_.cur, *ctx_.nxt,
-                    fp.tiles()[static_cast<std::size_t>(ti)].out, fp.fuse(),
-                    scratch(id), src);
-        });
-    });
+    const core::FusedSweepPlan& fp = fused_[index];
+    if (fp.size() > 0) {
+        core::FusedSource fsrc;
+        if (has_source()) fsrc = {*ctx_.source, ctx_.origin, base_level()};
+        for (std::int64_t ti = lo; ti < hi; ++ti)
+            core::apply_fused_tile(*ctx_.coeffs, *ctx_.cur, *ctx_.nxt,
+                                   fp.tiles()[static_cast<std::size_t>(ti)].out,
+                                   fp.fuse(), scratch(tid), &fsrc);
+        return;
+    }
+    if (plan_->var_coeff)
+        core::apply_stencil_var_rows(*ctx_.coeff_cache, *ctx_.cur, *ctx_.nxt,
+                                     rows, lo, hi);
+    else
+        core::apply_stencil_rows(*ctx_.coeffs, *ctx_.cur, *ctx_.nxt, rows, lo,
+                                 hi);
+    if (has_source())
+        add_source_rows(*ctx_.nxt, rows, lo, hi, *ctx_.source, ctx_.origin,
+                        base_level());
 }
 
 void PlanExecutor::run_task(const plan::Task& task, std::size_t index) {
     const plan::Payload& p = task.payload;
-    const core::RowSpace& rows = rows_[index];
     switch (task.op) {
         case plan::Op::PostRecvs:
             ctx_.exchange->post_recvs(*ctx_.comm);
@@ -449,30 +414,17 @@ void PlanExecutor::run_task(const plan::Task& task, std::size_t index) {
             }
             break;
         case plan::Op::Stencil:
-            if (fused_[index].size() > 0) {
-                run_fused_stencil(index, p.schedule);
-            } else if (rows.size() > 0) {
-                if (plan_->var_coeff)
-                    stencil_var_parallel(*ctx_.team, *ctx_.coeff_cache,
-                                         *ctx_.cur, *ctx_.nxt, rows,
-                                         to_omp(p.schedule));
-                else
-                    stencil_parallel(*ctx_.team, *ctx_.coeffs, *ctx_.cur,
-                                     *ctx_.nxt, rows, to_omp(p.schedule));
-                if (has_source()) {
-                    const int level = base_level();
-                    omp::parallel_for(
-                        *ctx_.team, 0, rows.size(), omp::Schedule::Static,
-                        [&](std::int64_t lo, std::int64_t hi) {
-                            add_source_rows(*ctx_.nxt, rows, lo, hi,
-                                            *ctx_.source, ctx_.origin, level);
-                        });
-                }
-            }
+        case plan::Op::Copy: {
+            if (units(index) == 0) break;
+            omp::LoopScheduler sched(0, units(index), to_omp(p.schedule),
+                                     ctx_.team->size());
+            ctx_.team->parallel([&](int id) {
+                omp::drain(sched, id, [&](std::int64_t lo, std::int64_t hi) {
+                    sweep(index, lo, hi, id);
+                });
+            });
             break;
-        case plan::Op::Copy:
-            copy_parallel(*ctx_.team, *ctx_.nxt, *ctx_.cur, rows);
-            break;
+        }
         case plan::Op::HostPack:
             ctx_.staging->pack_inbound(*ctx_.cur);
             break;
@@ -512,15 +464,10 @@ void PlanExecutor::run_task(const plan::Task& task, std::size_t index) {
             if (plan_->var_coeff)
                 launch_stencil_var(stream(p.stream), *ctx_.d_cur, *ctx_.d_nxt,
                                    p.regions[0], *ctx_.coeff_cache, gsrc);
-            else if (p.fuse > 1)
-                launch_stencil_fused(stream(p.stream), *ctx_.device,
-                                     *ctx_.d_cur, *ctx_.d_nxt, p.regions[0],
-                                     ctx_.cfg->block_x, ctx_.cfg->block_y,
-                                     p.fuse, gsrc);
             else
                 launch_stencil(stream(p.stream), *ctx_.device, *ctx_.d_cur,
                                *ctx_.d_nxt, p.regions[0], ctx_.cfg->block_x,
-                               ctx_.cfg->block_y, gsrc);
+                               ctx_.cfg->block_y, gsrc, p.fuse);
             break;
         }
         case plan::Op::Sync:

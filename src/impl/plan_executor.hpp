@@ -78,10 +78,16 @@ class PlanExecutor {
     /// run_task under a chaos session: retries launches the injector failed
     /// (each retry draws a fresh occurrence, so retries terminate).
     void run_task_retrying(const plan::Task& task, std::size_t index);
-    /// Fused cpu Stencil: the team drains cache-sized tiles, each advanced
-    /// `fuse` steps through per-thread ping-pong scratch (the tentpole of
-    /// docs/PERF.md "Temporal blocking").
-    void run_fused_stencil(std::size_t index, plan::Sched schedule);
+    /// Parallel work units of a Stencil or Copy task: its fused tiles when
+    /// it fuses, else its rows.
+    [[nodiscard]] std::int64_t units(std::size_t index) const;
+    /// The one sweep dispatch, which both execution modes drain: units
+    /// [lo, hi) of Stencil or Copy task `index` on worker `tid`. A fused
+    /// Stencil advances cache-sized tiles `fuse` steps through the worker's
+    /// scratch (docs/PERF.md "Temporal blocking"); an unfused one sweeps
+    /// rows with the variable or constant row kernel, then adds the
+    /// manufactured source to the same rows; a Copy is the paper's Step 3.
+    void sweep(std::size_t index, std::int64_t lo, std::int64_t hi, int tid);
     /// Per-thread scratch slice for apply_fused_tile.
     [[nodiscard]] std::span<double> scratch(int thread_id);
     [[nodiscard]] gpu::Stream& stream(int index);

@@ -14,6 +14,11 @@
 ///     implementations at fuse 4 agree bitwise with the fused single_task
 ///     run (fused open-boundary runs legitimately differ from the unfused
 ///     reference by the ghost-extrapolation term; see docs/SCENARIOS.md).
+///  4. The variable-coefficient path is pinned the same way as contract 1:
+///     all nine implementations x {solid-body rotation, deformational, the
+///     rotating-inflow scenario}, captured before the variable sweep moved
+///     onto the vector row kernel. "Matches run_reference" alone cannot see
+///     a drift that the reference and the implementations share.
 
 #include <cstdint>
 #include <cstdio>
@@ -138,6 +143,88 @@ TEST(BoundaryParity, PeriodicDefaultBitwisePin) {
         const auto r = impl::find_implementation(p.impl_id).solve(cfg);
         EXPECT_EQ(interior_hash(r.state), p.hash)
             << p.impl_id << " mixed=" << p.mixed << " fuse=" << p.fuse;
+    }
+}
+
+namespace {
+
+const char* const kVarProblems[] = {"solid-body", "deformational",
+                                    "rotating-inflow"};
+
+impl::SolverConfig var_pin_config(const std::string& problem) {
+    impl::SolverConfig cfg = pin_config(false, 1);
+    if (problem == "rotating-inflow") {
+        cfg.problem = core::AdvectionProblem::standard(24);
+        cfg.problem.scenario = core::scenario_by_name("rotating-inflow");
+        cfg.problem.nu = 0.5 / cfg.problem.velocity_field().max_abs();
+    } else {
+        cfg.problem = advect::verify::mms_variable_problem(
+            24, problem == "solid-body"
+                    ? core::VelocityKind::SolidBodyRotation
+                    : core::VelocityKind::Deformational);
+    }
+    return cfg;
+}
+
+struct VarPin {
+    const char* impl_id;
+    const char* problem;
+    std::uint64_t hash;
+};
+
+/// Captured with the print mode below from the tree whose variable sweep
+/// was the scalar stencil_var_point loop over array-of-structs rows.
+const VarPin kVarPinned[] = {
+    {"single_task", "solid-body", 0xb148a03daffdfd25ull},
+    {"mpi_bulk", "solid-body", 0xb148a03daffdfd25ull},
+    {"mpi_nonblocking", "solid-body", 0xb148a03daffdfd25ull},
+    {"mpi_thread_overlap", "solid-body", 0xb148a03daffdfd25ull},
+    {"gpu_resident", "solid-body", 0xb148a03daffdfd25ull},
+    {"gpu_mpi_bulk", "solid-body", 0xb148a03daffdfd25ull},
+    {"gpu_mpi_streams", "solid-body", 0xb148a03daffdfd25ull},
+    {"cpu_gpu_bulk", "solid-body", 0xb148a03daffdfd25ull},
+    {"cpu_gpu_overlap", "solid-body", 0xb148a03daffdfd25ull},
+    {"single_task", "deformational", 0x7d940aabed4f6000ull},
+    {"mpi_bulk", "deformational", 0x7d940aabed4f6000ull},
+    {"mpi_nonblocking", "deformational", 0x7d940aabed4f6000ull},
+    {"mpi_thread_overlap", "deformational", 0x7d940aabed4f6000ull},
+    {"gpu_resident", "deformational", 0x7d940aabed4f6000ull},
+    {"gpu_mpi_bulk", "deformational", 0x7d940aabed4f6000ull},
+    {"gpu_mpi_streams", "deformational", 0x7d940aabed4f6000ull},
+    {"cpu_gpu_bulk", "deformational", 0x7d940aabed4f6000ull},
+    {"cpu_gpu_overlap", "deformational", 0x7d940aabed4f6000ull},
+    {"single_task", "rotating-inflow", 0x957ecbefb34196eaull},
+    {"mpi_bulk", "rotating-inflow", 0x957ecbefb34196eaull},
+    {"mpi_nonblocking", "rotating-inflow", 0x957ecbefb34196eaull},
+    {"mpi_thread_overlap", "rotating-inflow", 0x957ecbefb34196eaull},
+    {"gpu_resident", "rotating-inflow", 0x957ecbefb34196eaull},
+    {"gpu_mpi_bulk", "rotating-inflow", 0x957ecbefb34196eaull},
+    {"gpu_mpi_streams", "rotating-inflow", 0x957ecbefb34196eaull},
+    {"cpu_gpu_bulk", "rotating-inflow", 0x957ecbefb34196eaull},
+    {"cpu_gpu_overlap", "rotating-inflow", 0x957ecbefb34196eaull},
+};
+
+}  // namespace
+
+TEST(BoundaryParity, VariableCoefficientBitwisePin) {
+    if (std::getenv("ADVECT_PRINT_PINS") != nullptr) {
+        for (const char* problem : kVarProblems)
+            for (const auto& e : impl::registry()) {
+                const auto r = e.solve(var_pin_config(problem));
+                std::printf("    {\"%s\", \"%s\", 0x%llxull},\n",
+                            e.id.c_str(), problem,
+                            static_cast<unsigned long long>(
+                                interior_hash(r.state)));
+            }
+        GTEST_SKIP() << "printed pin table";
+    }
+    ASSERT_EQ(std::size(kVarPinned),
+              std::size(kVarProblems) * impl::registry().size());
+    for (const VarPin& p : kVarPinned) {
+        const auto r =
+            impl::find_implementation(p.impl_id).solve(var_pin_config(p.problem));
+        EXPECT_EQ(interior_hash(r.state), p.hash)
+            << p.impl_id << " problem=" << p.problem;
     }
 }
 

@@ -44,6 +44,7 @@ struct KernelCase {
     int nx, ny, nz;
     int bx, by;
     bool c1060;
+    bool courant1 = false;  ///< 26 exact-zero coefficients: one live term
 };
 
 class DeviceStencil : public ::testing::TestWithParam<KernelCase> {};
@@ -53,7 +54,9 @@ TEST_P(DeviceStencil, MatchesCpuBitwise) {
     const core::Extents3 n{c.nx, c.ny, c.nz};
     gpu::Device dev(c.c1060 ? gpu::DeviceProps::tesla_c1060()
                             : gpu::DeviceProps::tesla_c2050());
-    const auto coeffs = core::tensor_product_coeffs({0.7, -0.3, 1.0}, 0.6);
+    const auto coeffs =
+        c.courant1 ? core::tensor_product_coeffs({1, 1, 1}, 1.0)
+                   : core::tensor_product_coeffs({0.7, -0.3, 1.0}, 0.6);
     impl::upload_coefficients(dev, coeffs);
     auto s = dev.create_stream();
 
@@ -75,7 +78,12 @@ INSTANTIATE_TEST_SUITE_P(
                       KernelCase{13, 7, 5, 4, 2, false},  // edge blocks
                       KernelCase{13, 7, 5, 4, 2, true},
                       KernelCase{6, 20, 3, 2, 16, false},
-                      KernelCase{16, 16, 16, 16, 4, true}));
+                      KernelCase{16, 16, 16, 16, 4, true},
+                      // Courant 1 on the edge-block shapes: the on-device
+                      // plan compacts to one term, and edge tiles stage
+                      // against the padded bounds.
+                      KernelCase{13, 7, 5, 4, 2, false, true},
+                      KernelCase{6, 20, 3, 2, 16, false, true}));
 
 TEST(DeviceStencil, SubRegionOnlyWritesRegion) {
     const core::Extents3 n{10, 10, 10};

@@ -181,6 +181,7 @@ TEST(CoeffCache, RowsMatchEvaluatorBitwiseIncludingOrigin) {
     const core::Index3 origin{2, 4, 6};
     const core::CoeffCache cache(cf, local, origin);
     EXPECT_EQ(cache.nx(), 4);
+    // Struct-of-arrays rows: term t of cell i at row[t * nx + i].
     for (int k = 0; k < local.nz; ++k)
         for (int j = 0; j < local.ny; ++j) {
             const double* row = cache.row(j, k);
@@ -188,7 +189,7 @@ TEST(CoeffCache, RowsMatchEvaluatorBitwiseIncludingOrigin) {
                 const core::StencilCoeffs want =
                     cf.at(origin.i + i, origin.j + j, origin.k + k);
                 for (int t = 0; t < 27; ++t)
-                    EXPECT_EQ(row[i * 27 + t], want.a[t])
+                    EXPECT_EQ(row[t * local.nx + i], want.a[t])
                         << i << "," << j << "," << k << " t=" << t;
             }
         }

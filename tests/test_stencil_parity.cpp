@@ -6,7 +6,8 @@
 /// clone, matches core::stencil_point bit for bit. These tests force the
 /// portable build against the dispatched fast path on identical inputs and
 /// memcmp the raw bytes, across row lengths that exercise the 8-wide blocked
-/// loop, the scalar remainder, and their seam.
+/// loop, the scalar remainder, and their seam — for the broadcast-coefficient
+/// build and the variable-coefficient (struct-of-arrays row) build alike.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <random>
 #include <vector>
 
+#include "core/coeff_cache.hpp"
 #include "core/coefficients.hpp"
 #include "core/field.hpp"
 #include "core/stencil.hpp"
@@ -87,6 +89,46 @@ TEST(StencilParity, RowKernelMatchesReferencePointBitwise) {
                     << "apply_stencil diverges from stencil_point at (" << i
                     << "," << j << "," << k << "): " << ref << " vs " << got;
             }
+
+    // The variable-coefficient build of the same kernel body: both the
+    // portable baseline and the dispatched clone, over a struct-of-arrays
+    // row (term t of cell x at row[t * nx + x]), against stencil_var_point
+    // for every row length through the blocked loop, its 4-wide step and
+    // the scalar tail, from aligned and unaligned starts.
+    const int nx = 74;
+    const auto vin = random_field({nx, 3, 3}, 31);
+    std::vector<double> row(27 * static_cast<std::size_t>(nx));
+    std::mt19937 rng(7);
+    std::uniform_real_distribution<double> d(-1.0, 1.0);
+    for (double& c : row) c = d(rng);
+    const std::ptrdiff_t sj = vin.x_stride(), sk = vin.xy_stride();
+    SCOPED_TRACE(core::detail::row_kernel_is_vectorized()
+                     ? "dispatched path: AVX2 clone"
+                     : "dispatched path: portable baseline");
+    for (const int xlo : {0, 1, 3})
+        for (int len = 1; len <= 70; ++len) {
+            std::vector<double> fast(static_cast<std::size_t>(len), -1.0);
+            std::vector<double> portable(static_cast<std::size_t>(len), -2.0);
+            const double* coeff = row.data() + xlo;
+            const double* centre = vin.ptr(xlo, 1, 1);
+            core::apply_stencil_var_row_ptr(coeff, nx, centre, fast.data(),
+                                            len, sj, sk);
+            core::detail::apply_stencil_var_row_portable(
+                coeff, nx, centre, portable.data(), len, sj, sk);
+            for (int x = 0; x < len; ++x) {
+                double cell[27];
+                for (int t = 0; t < 27; ++t) cell[t] = coeff[t * nx + x];
+                const double ref =
+                    core::stencil_var_point(cell, centre + x, sj, sk);
+                const auto at = static_cast<std::size_t>(x);
+                ASSERT_EQ(std::memcmp(&ref, &fast[at], sizeof(double)), 0)
+                    << "dispatched variable row diverges at xlo=" << xlo
+                    << " len=" << len << " x=" << x;
+                ASSERT_EQ(std::memcmp(&ref, &portable[at], sizeof(double)), 0)
+                    << "portable variable row diverges at xlo=" << xlo
+                    << " len=" << len << " x=" << x;
+            }
+        }
 }
 
 TEST(StencilParity, PortableKernelMatchesReferenceBitwise) {
