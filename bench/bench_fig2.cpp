@@ -34,19 +34,12 @@ int count_loc(const std::string& path) {
     return loc;
 }
 
-/// Total LoC of one implementation: its driver plus its step-plan builder
-/// (the two files the registry attributes to it), resolving each path from
-/// the bench's working directory, the build tree, or the repo root.
-int count_impl_loc(const std::vector<std::string>& files) {
-    int total = 0;
-    for (const auto& f : files) {
-        int loc = count_loc(f);
-        if (loc < 0) loc = count_loc("../" + f);
-        if (loc < 0) loc = count_loc("/root/repo/" + f);
-        if (loc < 0) return -1;
-        total += loc;
-    }
-    return total;
+/// LoC of one implementation: its step-plan builder, which is all of it —
+/// the shared harness executes every plan. Resolved from the source tree
+/// the bench was built from.
+int count_impl_loc(const std::string& id) {
+    return count_loc(std::string(ADVECT_SOURCE_DIR) + "/src/plan/build_" +
+                     id + ".cpp");
 }
 
 /// The paper's Fig. 2 bar heights (read from the stated anchors: 215 for
@@ -70,11 +63,11 @@ int paper_loc(const std::string& section) {
 int main() {
     std::printf("== Fig. 2: lines of code per implementation ==\n");
     std::printf("%-22s %8s %14s %14s\n", "implementation", "paper",
-                "ours (files)", "ours/baseline");
+                "ours (plan)", "ours/baseline");
     std::vector<int> ours;
     int baseline = 0;
     for (const auto& e : impl::registry()) {
-        const int loc = count_impl_loc(e.source_files);
+        const int loc = count_impl_loc(e.id);
         ours.push_back(loc);
         if (e.paper_section == "IV-A") baseline = loc;
     }
@@ -86,11 +79,11 @@ int main() {
                                  : 0.0);
         ++i;
     }
-    std::printf("(our counts cover each implementation's driver plus its "
-                "step-plan builder;\n shared substrate code — exchange, "
-                "kernels, staging, the plan executor — is\n factored out, "
-                "which the paper's Fortran versions could not do, so our\n "
-                "ratios understate theirs)\n");
+    std::printf("(our counts cover each implementation's step-plan builder;"
+                "\n shared substrate code — exchange, kernels, staging, the "
+                "plan executor — is\n factored out, which the paper's "
+                "Fortran versions could not do, so our\n ratios understate "
+                "theirs)\n");
 
     bench::check(ours[0] > 0, "implementation sources found");
     bool a_small = true;

@@ -13,6 +13,7 @@
 
 #include "core/decomposition.hpp"
 #include "core/problem.hpp"
+#include "impl/harness.hpp"
 #include "impl/registry.hpp"
 
 int main(int argc, char** argv) {
@@ -57,7 +58,7 @@ int main(int argc, char** argv) {
         auto c = cfg;
         if (!entry.uses_mpi) c.ntasks = 1;
         try {
-            const auto r = entry.solve(c);
+            const auto r = impl::run_plan_solver(entry.id, c);
             const bool match = r.state.interior_equals(reference);
             all_match = all_match && match;
             std::printf("%-22s %-6s %10.2e %12.2f %14s\n", entry.id.c_str(),

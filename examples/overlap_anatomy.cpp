@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "impl/harness.hpp"
 #include "impl/registry.hpp"
 #include "sched/report.hpp"
 #include "sched/sweeps.hpp"
@@ -106,7 +107,7 @@ int main(int argc, char** argv) {
         const auto& entry = impl::find_implementation(rc.id);
         trace::reset();
         trace::set_enabled(true);
-        entry.solve(scfg);
+        (void)impl::run_plan_solver(entry.id, scfg);
         trace::set_enabled(false);
         const auto measured = trace::snapshot();
 

@@ -11,7 +11,7 @@
 #include <cstdlib>
 
 #include "core/problem.hpp"
-#include "impl/registry.hpp"
+#include "impl/harness.hpp"
 
 int main(int argc, char** argv) {
     namespace core = advect::core;
@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
     std::printf("simulated device: Tesla C2050 (3 GB) — the paper sized "
                 "420^3 to just fit\n\n");
 
-    const auto r = impl::solve_gpu_resident(cfg);
+    const auto r = impl::run_plan_solver("gpu_resident", cfg);
     std::printf("wall time        : %.2f s (%.2f s/step on this host)\n",
                 r.wall_seconds, r.wall_seconds / steps);
     std::printf("host throughput  : %.2f GF\n", r.gf(cfg));

@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "impl/registry.hpp"
+#include "impl/harness.hpp"
 
 int main(int argc, char** argv) {
     namespace core = advect::core;
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
     std::printf("  stepping    : %d steps of Lax-Wendroff (Table I "
                 "coefficients)\n\n", steps);
 
-    const auto result = impl::solve_single_task(cfg);
+    const auto result = impl::run_plan_solver("single_task", cfg);
 
     std::printf("  wall time   : %.3f s\n", result.wall_seconds);
     std::printf("  performance : %.2f GF (53 flops/point/step)\n",

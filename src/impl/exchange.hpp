@@ -49,7 +49,7 @@ class HaloExchange {
     /// landed (the plan executor's Comm/Wait tasks). Under a chaos drop
     /// scenario the wait retries on the plan's receive timeout, asking the
     /// communicator for retransmits job-wide (every process's session, on
-    /// the socket backend) between attempts.
+    /// the forked transports) between attempts.
     void wait_dim(msg::Communicator& comm, int dim);
     /// Second half of finish_dim: unpack `dim`'s received faces into halos.
     /// Call only after wait_dim(dim).

@@ -1,15 +1,15 @@
 #pragma once
 /// \file harness.hpp
-/// The shared solver harness: everything the nine §IV drivers had in common
-/// — decomposition, rank loop, field and substrate setup, timing barriers,
-/// wall-clock reduction, final-state assembly — owned once. A driver is now
-/// one line: build the implementation's step plan and hand it to this
-/// harness, which runs it through the PlanExecutor.
+/// The shared solver harness: everything the nine §IV implementations have
+/// in common — decomposition, rank loop, field and substrate setup, timing
+/// barriers, wall-clock reduction, final-state assembly — owned once. An
+/// implementation is nothing but its step plan (src/plan/build_<id>.cpp);
+/// run_plan_solver builds it and runs it through the PlanExecutor.
 ///
 /// The per-rank body is exposed as run_plan_rank so both rank substrates
 /// share it verbatim: run_plan_solver runs it on rank threads over the
-/// in-process transport, and the socket launcher (impl/launch.hpp) runs it
-/// in rank processes over the socket transport.
+/// in-process transport, and the process launcher (impl/launch.hpp) runs it
+/// in rank processes over the mesh transport.
 
 #include <string>
 

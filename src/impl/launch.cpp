@@ -135,7 +135,7 @@ WorkerOutcome unmarshal_outcome(std::span<const std::uint8_t> bytes) {
     return out;
 }
 
-/// The in-process path: the classic entry.solve call with the launcher
+/// The in-process path: the classic run_plan_solver call with the launcher
 /// owning the recorder and the (single, shared) chaos session around it —
 /// the same sequence `advectctl chaos` has always run.
 LaunchReport launch_in_process(const Implementation& entry,
@@ -150,7 +150,7 @@ LaunchReport launch_in_process(const Implementation& entry,
     {
         std::optional<chaos::Session> session;
         if (opts.fault_plan != nullptr) session.emplace(*opts.fault_plan);
-        report.result = entry.solve(cfg);
+        report.result = run_plan_solver(entry.id, cfg);
         if (session) report.fault_log = session->log();
         // Session destruction joins chaos delivery threads, so every span
         // they record lands before the snapshot below.
@@ -165,7 +165,7 @@ LaunchReport launch_in_process(const Implementation& entry,
 
 /// One worker process's body: run this rank, marshal the outcome. Runs with
 /// the worker's own recorder, chaos session and (if needed) device.
-std::vector<std::uint8_t> socket_worker(const Implementation& entry,
+std::vector<std::uint8_t> forked_worker(const Implementation& entry,
                                         const SolverConfig& cfg,
                                         const LaunchOptions& opts,
                                         const core::Decomp3* decomp,
@@ -183,7 +183,7 @@ std::vector<std::uint8_t> socket_worker(const Implementation& entry,
     double wall = 0.0;
     if (decomp == nullptr) {
         // §IV-A/E: no communication; the worker is a one-process solve.
-        auto r = entry.solve(cfg);
+        auto r = run_plan_solver(entry.id, cfg);
         state = std::move(r.state);
         wall = r.wall_seconds;
     } else {
@@ -221,9 +221,10 @@ std::vector<std::uint8_t> socket_worker(const Implementation& entry,
     return w.take();
 }
 
-/// The forked-worker path, shared by the Unix-socket and TCP backends: the
-/// same per-rank body runs either way; only the launcher (inherited
-/// socketpair mesh vs host-list rendezvous + progress engine) differs.
+/// The forked-worker path, shared by the socketpair and TCP meshes: the same
+/// per-rank body runs over the same MeshTransport either way; only how the
+/// launcher connects the mesh (inherited socketpairs vs host-list
+/// rendezvous) differs.
 LaunchReport launch_forked(const Implementation& entry,
                            const SolverConfig& cfg,
                            const LaunchOptions& opts) {
@@ -256,12 +257,12 @@ LaunchReport launch_forked(const Implementation& entry,
 
     const core::Decomp3* dp = decomp ? &*decomp : nullptr;
     const auto body = [&](msg::Communicator& comm) {
-        return socket_worker(entry, cfg, opts, dp, comm);
+        return forked_worker(entry, cfg, opts, dp, comm);
     };
     const auto payloads =
         opts.transport == TransportKind::Tcp
             ? msg::run_tcp_ranks(nranks, opts.progress, body)
-            : msg::run_process_ranks(nranks, body);
+            : msg::run_process_ranks(nranks, body, opts.progress);
 
     LaunchReport report;
     core::Field3 global(p.domain.extents());

@@ -2,17 +2,18 @@
 /// \file launch.hpp
 /// One front door for running an implementation under either rank substrate
 /// (docs/TRANSPORT.md): ranks as threads over the in-process mailbox
-/// transport, or ranks as forked worker processes over the socket transport.
-/// Either way the same per-rank body (impl::run_plan_rank) executes, and the
-/// launcher ships each worker's trace spans and chaos fault log back to the
-/// caller, so `advectctl trace`/`chaos` output is identical across backends.
+/// transport, or ranks as forked worker processes over the mesh transport,
+/// joined by inherited socketpairs or by TCP rendezvous. Either way the same
+/// per-rank body (impl::run_plan_rank) executes, and the launcher ships each
+/// worker's trace spans and chaos fault log back to the caller, so
+/// `advectctl trace`/`chaos` output is identical across transports.
 
 #include <string>
 #include <vector>
 
 #include "chaos/fault.hpp"
 #include "impl/config.hpp"
-#include "msg/transport/progress.hpp"
+#include "msg/transport/mesh.hpp"
 #include "trace/span.hpp"
 
 namespace advect::impl {
@@ -20,9 +21,9 @@ namespace advect::impl {
 /// Which rank substrate carries the job.
 enum class TransportKind {
     InProcess,  ///< ranks are threads sharing a msg::World (the default)
-    Socket,     ///< ranks are forked processes on a Unix-domain socket mesh
-    Tcp,        ///< forked processes on a rendezvous'd TCP mesh with the
-                ///< progress engine (docs/TRANSPORT.md §stage 2)
+    Socket,     ///< forked processes on an inherited socketpair mesh
+    Tcp,        ///< forked processes on a rendezvous'd TCP mesh
+                ///< (docs/TRANSPORT.md §stage 2)
 };
 
 [[nodiscard]] const char* transport_name(TransportKind kind);
@@ -31,15 +32,16 @@ enum class TransportKind {
 
 struct LaunchOptions {
     TransportKind transport = TransportKind::InProcess;
-    /// TCP backend only: run the progress engine as a dedicated thread
-    /// (asynchronous progress) or as the polled no-progress state machine.
-    /// Defaults from ADVECT_PROGRESS ("off" => Polled).
+    /// Forked transports (socket and tcp): run the mesh transport's progress
+    /// engine as a dedicated thread (asynchronous progress) or as the polled
+    /// no-progress state machine. Defaults from ADVECT_PROGRESS ("off" =>
+    /// Polled).
     msg::ProgressMode progress = msg::progress_mode_from_env();
     /// Record trace spans during the run and return them in the report.
     bool trace = false;
     /// When non-null, run under this chaos plan (each worker process
     /// installs its own Session; draws are keyed per rank, so the merged
-    /// fault log is identical across backends).
+    /// fault log is identical across transports).
     const chaos::FaultPlan* fault_plan = nullptr;
 };
 
@@ -55,11 +57,11 @@ struct LaunchReport {
 };
 
 /// Solve `cfg` with implementation `impl_id` over the chosen transport.
-/// On the socket backend the implementations that use no communication
+/// On the forked transports the implementations that use no communication
 /// (§IV-A/E) run in a single worker process; the rest fork one worker per
 /// rank of the decomposition. Simulated GPUs live per process there, so
 /// `cfg.tasks_per_gpu > 1` sharing is an in-process-only feature; runs with
-/// the default of one task per GPU are bitwise identical across backends.
+/// the default of one task per GPU are bitwise identical across transports.
 ///
 /// The caller must not have trace recording enabled or a chaos session
 /// installed: the launcher owns both for the duration of the run.

@@ -8,36 +8,22 @@ namespace advect::impl {
 namespace {
 
 const std::array<Implementation, 9> kRegistry{{
-    {"single_task", "IV-A", "single task with OpenMP threads", false, false,
-     &solve_single_task,
-     {"src/impl/single_task.cpp", "src/plan/build_single_task.cpp"}},
-    {"mpi_bulk", "IV-B", "bulk-synchronous MPI", true, false, &solve_mpi_bulk,
-     {"src/impl/mpi_bulk.cpp", "src/plan/build_mpi_bulk.cpp"}},
+    {"single_task", "IV-A", "single task with OpenMP threads", false, false},
+    {"mpi_bulk", "IV-B", "bulk-synchronous MPI", true, false},
     {"mpi_nonblocking", "IV-C",
-     "MPI using nonblocking communication for overlap", true, false,
-     &solve_mpi_nonblocking,
-     {"src/impl/mpi_nonblocking.cpp", "src/plan/build_mpi_nonblocking.cpp"}},
+     "MPI using nonblocking communication for overlap", true, false},
     {"mpi_thread_overlap", "IV-D", "MPI using OpenMP threading for overlap",
-     true, false, &solve_mpi_thread_overlap,
-     {"src/impl/mpi_thread_overlap.cpp",
-      "src/plan/build_mpi_thread_overlap.cpp"}},
-    {"gpu_resident", "IV-E", "GPU resident (single device)", false, true,
-     &solve_gpu_resident,
-     {"src/impl/gpu_resident.cpp", "src/plan/build_gpu_resident.cpp"}},
-    {"gpu_mpi_bulk", "IV-F", "GPU with bulk-synchronous MPI", true, true,
-     &solve_gpu_mpi_bulk,
-     {"src/impl/gpu_mpi_bulk.cpp", "src/plan/build_gpu_mpi_bulk.cpp"}},
+     true, false},
+    {"gpu_resident", "IV-E", "GPU resident (single device)", false, true},
+    {"gpu_mpi_bulk", "IV-F", "GPU with bulk-synchronous MPI", true, true},
     {"gpu_mpi_streams", "IV-G", "GPU with MPI overlap using CUDA streams",
-     true, true, &solve_gpu_mpi_streams,
-     {"src/impl/gpu_mpi_streams.cpp", "src/plan/build_gpu_mpi_streams.cpp"}},
+     true, true},
     {"cpu_gpu_bulk", "IV-H", "CPU and GPU computation with bulk-synchronous MPI",
-     true, true, &solve_cpu_gpu_bulk,
-     {"src/impl/cpu_gpu_bulk.cpp", "src/plan/build_cpu_gpu_bulk.cpp"}},
+     true, true},
     {"cpu_gpu_overlap", "IV-I",
      "CPU and GPU computation partitioned for overlap with nonblocking MPI "
      "and CPU-GPU communication",
-     true, true, &solve_cpu_gpu_overlap,
-     {"src/impl/cpu_gpu_overlap.cpp", "src/plan/build_cpu_gpu_overlap.cpp"}},
+     true, true},
 }};
 
 }  // namespace

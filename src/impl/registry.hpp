@@ -1,38 +1,15 @@
 #pragma once
 /// \file registry.hpp
-/// The nine implementations of paper §IV, A through I, behind a uniform
-/// entry point each, plus a registry for tests/benches/examples to iterate.
+/// The nine implementations of paper §IV, A through I, as a registry for
+/// tests/benches/examples to iterate. Each one is its step-plan builder
+/// (src/plan/build_<id>.cpp, which carries the §IV description) run by the
+/// shared harness: solve one with run_plan_solver(id, cfg) (harness.hpp) or,
+/// on any transport, launch_solver (launch.hpp).
 
 #include <span>
 #include <string>
-#include <vector>
-
-#include "impl/config.hpp"
 
 namespace advect::impl {
-
-/// §IV-A: single task, OpenMP threads only.
-SolveResult solve_single_task(const SolverConfig& cfg);
-/// §IV-B: bulk-synchronous MPI + OpenMP.
-SolveResult solve_mpi_bulk(const SolverConfig& cfg);
-/// §IV-C: MPI overlap via nonblocking communication interleaved with
-/// interior thirds.
-SolveResult solve_mpi_nonblocking(const SolverConfig& cfg);
-/// §IV-D: MPI overlap via the OpenMP master thread communicating while
-/// workers compute under guided scheduling.
-SolveResult solve_mpi_thread_overlap(const SolverConfig& cfg);
-/// §IV-E: single GPU, problem resident in device memory.
-SolveResult solve_gpu_resident(const SolverConfig& cfg);
-/// §IV-F: multi-task GPU computation with bulk-synchronous MPI via the CPUs.
-SolveResult solve_gpu_mpi_bulk(const SolverConfig& cfg);
-/// §IV-G: multi-task GPU with CUDA-stream overlap of interior computation
-/// against MPI + PCIe traffic.
-SolveResult solve_gpu_mpi_streams(const SolverConfig& cfg);
-/// §IV-H: CPU box + GPU block (Fig. 1) with bulk-synchronous MPI.
-SolveResult solve_cpu_gpu_bulk(const SolverConfig& cfg);
-/// §IV-I: CPU box + GPU block with full overlap (nonblocking MPI, separate
-/// CUDA streams, per-dimension interleaving).
-SolveResult solve_cpu_gpu_overlap(const SolverConfig& cfg);
 
 /// Registry entry describing one implementation.
 struct Implementation {
@@ -41,10 +18,6 @@ struct Implementation {
     std::string description;
     bool uses_mpi = false;
     bool uses_gpu = false;
-    SolveResult (*solve)(const SolverConfig&) = nullptr;
-    /// Source files implementing it (relative to the repo root): the driver
-    /// and its step-plan builder. Used by the Fig. 2 lines-of-code bench.
-    std::vector<std::string> source_files;
 };
 
 /// All nine implementations in paper order A..I.

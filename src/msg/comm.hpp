@@ -6,8 +6,8 @@
 /// (allreduce, broadcast). Every operation goes through a Transport
 /// (msg/transport/transport.hpp): in-process mailboxes when ranks are
 /// threads sharing a World (the "cluster in a process" substitution,
-/// DESIGN.md §2), or a socket mesh when ranks are processes
-/// (docs/TRANSPORT.md).
+/// DESIGN.md §2), or the socket mesh of MeshTransport when ranks are
+/// processes (docs/TRANSPORT.md).
 ///
 /// Collectives are implemented as messages over the transport (a flat
 /// gather/release tree through a root) on reserved system tags, so they
@@ -69,7 +69,7 @@ class Communicator {
   public:
     /// In-process rank handle (ranks as threads; the default substrate).
     Communicator(World& world, int rank);
-    /// Rank handle over an explicit transport (socket-backend workers).
+    /// Rank handle over an explicit transport (forked mesh workers).
     explicit Communicator(Transport& transport)
         : transport_(&transport), rank_(transport.rank()) {}
 
@@ -136,8 +136,9 @@ class Communicator {
 
 /// Launch `nranks` rank threads running `rank_main` and join them. The first
 /// exception thrown by any rank is rethrown here after all ranks finish or
-/// unwind. This is the `mpirun` of the in-process substrate; the socket
-/// counterpart is run_process_ranks (msg/transport/process.hpp).
+/// unwind. This is the `mpirun` of the in-process substrate; the forked
+/// counterparts are run_process_ranks and run_tcp_ranks
+/// (msg/transport/process.hpp).
 void run_ranks(int nranks,
                const std::function<void(Communicator&)>& rank_main);
 

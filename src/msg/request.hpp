@@ -68,31 +68,34 @@ class CollectiveTimeoutError : public TimeoutError {
     int rank_;
 };
 
-/// A peer of this rank left the job while the operation still depended on
-/// it: its socket closed (clean EOF or reset) with a receive from it pending
-/// or posted afterwards. `rank()` names the departed peer. Unlike
+/// The link to a peer of this rank failed while the operation still
+/// depended on it: the peer's socket closed (clean EOF or reset), or the
+/// peer broke the wire protocol (an oversized length header, an unknown
+/// frame type, a wrong source or sequence number), with a receive from it
+/// pending or posted afterwards. `rank()` names the peer. Unlike
 /// TimeoutError the request is dead, not pending — waiting again rethrows.
-/// The message always contains the word "disconnected" so launchers that
-/// only see flattened strings (run_process_ranks) can still rank a peer's
-/// root-cause error above the cascade of disconnect errors it provokes.
+/// A departure's message contains the word "disconnected" and a protocol
+/// violation's never does, so launchers that only see flattened strings
+/// (run_process_ranks) rank a violation as a root cause, above the cascade
+/// of disconnect errors a dying peer provokes.
 class TransportError : public std::runtime_error {
   public:
     TransportError(int rank, const std::string& what)
         : std::runtime_error(what), rank_(rank) {}
 
-    /// The peer rank that disconnected.
+    /// The peer rank whose link failed.
     [[nodiscard]] int rank() const { return rank_; }
 
   private:
     int rank_;
 };
 
-/// A transport's "advance my sockets" hook. Polled transports (the tcp
-/// backend with the progress engine off) have no thread of their own: the
+/// A transport's "advance my sockets" hook. Polled transports (the mesh
+/// transport with the progress engine off) have no thread of their own: the
 /// bytes only move when some rank-side call pumps. Mailbox stamps the
 /// transport's pump into every posted receive, and Request's wait paths
 /// alternate pump slices with completion checks instead of sleeping on the
-/// condition variable (progress.hpp).
+/// condition variable (mesh.hpp).
 class ProgressPump {
   public:
     virtual ~ProgressPump() = default;

@@ -27,8 +27,6 @@ class InProcessTransport final : public Transport {
 
     void request_retransmits() override;
 
-    [[nodiscard]] const char* backend() const override { return "inproc"; }
-
   private:
     World* world_;
     int rank_;

@@ -8,11 +8,9 @@
 #include <array>
 #include <csignal>
 #include <cstdio>
-#include <memory>
 #include <stdexcept>
 #include <string>
 
-#include "msg/transport/socket.hpp"
 #include "msg/transport/tcp.hpp"
 #include "msg/transport/wire.hpp"
 
@@ -20,20 +18,22 @@ namespace advect::msg {
 
 namespace {
 
-/// One worker process's lifetime: build the transport (inside the child, so
-/// TCP workers can bind/rendezvous post-fork), run `rank_main`, ship the
-/// result or the error over the control channel, tear the transport down
-/// (peers mid-teardown read our queued frames, then a clean EOF), _exit.
-[[noreturn]] void worker_main(
-    const std::function<std::unique_ptr<Transport>()>& make_transport,
-    int control_fd,
-    const std::function<std::vector<std::uint8_t>(Communicator&)>&
-        rank_main) {
+using RankMain = std::function<std::vector<std::uint8_t>(Communicator&)>;
+
+/// One worker process's lifetime: obtain this rank's mesh fds (inside the
+/// child, so TCP workers can bind/rendezvous post-fork), run `rank_main`
+/// over a MeshTransport, ship the result or the error over the control
+/// channel, tear the transport down (peers mid-teardown read our queued
+/// frames, then a clean EOF), _exit.
+[[noreturn]] void worker_main(int rank,
+                              const std::function<std::vector<int>()>& connect,
+                              ProgressMode mode, int control_fd,
+                              const RankMain& rank_main) {
     int exit_code = 0;
     try {
         try {
-            const std::unique_ptr<Transport> transport = make_transport();
-            Communicator comm(*transport);
+            MeshTransport transport(rank, connect(), mode);
+            Communicator comm(transport);
             const std::vector<std::uint8_t> result = rank_main(comm);
             wire::write_frame(control_fd, wire::kFrameResult, result);
             ::close(control_fd);
@@ -130,128 +130,52 @@ std::vector<std::vector<std::uint8_t>> collect_results(
     return results;
 }
 
-}  // namespace
-
-std::vector<std::vector<std::uint8_t>> run_process_ranks(
-    int nranks,
-    const std::function<std::vector<std::uint8_t>(Communicator&)>&
-        rank_main) {
-    if (nranks < 1)
-        throw std::invalid_argument("run_process_ranks: nranks must be >= 1");
-    const auto n = static_cast<std::size_t>(nranks);
-
-    // Full mesh, connected before fork: mesh[i][j] is rank i's socket to
-    // rank j (and mesh[j][i] the matching end).
+/// Full mesh, connected before fork: mesh[i][j] is rank i's socket to
+/// rank j (and mesh[j][i] the matching end).
+std::vector<std::vector<int>> socketpair_mesh(const char* who, std::size_t n) {
     std::vector<std::vector<int>> mesh(n, std::vector<int>(n, -1));
     for (std::size_t i = 0; i < n; ++i)
         for (std::size_t j = i + 1; j < n; ++j) {
             int sv[2];
             if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0)
-                throw std::runtime_error(
-                    "run_process_ranks: socketpair failed");
+                throw std::runtime_error(std::string(who) +
+                                         ": socketpair failed");
             mesh[i][j] = sv[0];
             mesh[j][i] = sv[1];
         }
-    ControlChannels control = make_control_channels(n);
-
-    std::vector<pid_t> pids(n, -1);
-    for (std::size_t r = 0; r < n; ++r) {
-        const pid_t pid = ::fork();
-        if (pid < 0) {
-            for (std::size_t k = 0; k < r; ++k) ::kill(pids[k], SIGKILL);
-            throw std::runtime_error("run_process_ranks: fork failed");
-        }
-        if (pid == 0) {
-            // Worker: keep row r of the mesh and our control end; close
-            // every other inherited fd so peer EOF detection works.
-            for (std::size_t i = 0; i < n; ++i)
-                for (std::size_t j = 0; j < n; ++j)
-                    if (i != r && mesh[i][j] >= 0) ::close(mesh[i][j]);
-            for (std::size_t k = 0; k < n; ++k) {
-                ::close(control.fds[k][0]);
-                if (k != r) ::close(control.fds[k][1]);
-            }
-            worker_main(
-                [r, &mesh] {
-                    return std::make_unique<SocketTransport>(
-                        static_cast<int>(r), mesh[r]);
-                },
-                control.fds[r][1], rank_main);
-        }
-        pids[r] = pid;
-    }
-
-    // Parent: release the workers' fds, then collect results.
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j)
-            if (mesh[i][j] >= 0) ::close(mesh[i][j]);
-    for (std::size_t r = 0; r < n; ++r) ::close(control.fds[r][1]);
-
-    return collect_results("run_process_ranks", n, control, pids);
+    return mesh;
 }
 
-std::vector<std::vector<std::uint8_t>> run_tcp_ranks(
-    int nranks, ProgressMode mode,
-    const std::function<std::vector<std::uint8_t>(Communicator&)>&
-        rank_main) {
-    if (nranks < 1)
-        throw std::invalid_argument("run_tcp_ranks: nranks must be >= 1");
-    const auto n = static_cast<std::size_t>(nranks);
-    ControlChannels control = make_control_channels(n);
+/// A TCP worker's side of the rendezvous (docs/TRANSPORT.md §stage 2):
+/// publish our ephemeral port, get everyone's endpoints back, mesh up.
+std::vector<int> tcp_rendezvous(int rank, std::size_t n, int control_fd) {
+    TcpListener listener("127.0.0.1", 0);
+    wire::ByteWriter hello;
+    hello.u32(listener.port());
+    wire::write_frame(control_fd, wire::kFrameHello, hello.bytes());
+    wire::Frame hosts;
+    if (!wire::read_frame(control_fd, hosts) ||
+        hosts.type != wire::kFrameHosts)
+        throw std::runtime_error("run_tcp_ranks: launcher sent no host list");
+    wire::ByteReader rd(hosts.payload);
+    const std::uint32_t count = rd.u32();
+    if (count != n)
+        throw std::runtime_error("run_tcp_ranks: host list size mismatch");
+    std::vector<std::string> endpoints;
+    endpoints.reserve(count);
+    for (std::uint32_t i = 0; i < count; ++i) endpoints.push_back(rd.str());
+    return tcp_connect_mesh(rank, endpoints, listener);
+}
 
-    std::vector<pid_t> pids(n, -1);
-    for (std::size_t r = 0; r < n; ++r) {
-        const pid_t pid = ::fork();
-        if (pid < 0) {
-            for (std::size_t k = 0; k < r; ++k) ::kill(pids[k], SIGKILL);
-            throw std::runtime_error("run_tcp_ranks: fork failed");
-        }
-        if (pid == 0) {
-            for (std::size_t k = 0; k < n; ++k) {
-                ::close(control.fds[k][0]);
-                if (k != r) ::close(control.fds[k][1]);
-            }
-            const int control_fd = control.fds[r][1];
-            worker_main(
-                [r, n, control_fd, mode]() -> std::unique_ptr<Transport> {
-                    // Rendezvous (docs/TRANSPORT.md §stage 2): publish our
-                    // ephemeral port, get everyone's endpoints back, mesh up.
-                    TcpListener listener("127.0.0.1", 0);
-                    wire::ByteWriter hello;
-                    hello.u32(listener.port());
-                    wire::write_frame(control_fd, wire::kFrameHello,
-                                      hello.bytes());
-                    wire::Frame hosts;
-                    if (!wire::read_frame(control_fd, hosts) ||
-                        hosts.type != wire::kFrameHosts)
-                        throw std::runtime_error(
-                            "run_tcp_ranks: launcher sent no host list");
-                    wire::ByteReader rd(hosts.payload);
-                    const std::uint32_t count = rd.u32();
-                    if (count != n)
-                        throw std::runtime_error(
-                            "run_tcp_ranks: host list size mismatch");
-                    std::vector<std::string> endpoints;
-                    endpoints.reserve(count);
-                    for (std::uint32_t i = 0; i < count; ++i)
-                        endpoints.push_back(rd.str());
-                    std::vector<int> fds = tcp_connect_mesh(
-                        static_cast<int>(r), endpoints, listener);
-                    return std::make_unique<TcpTransport>(
-                        static_cast<int>(r), std::move(fds), mode);
-                },
-                control_fd, rank_main);
-        }
-        pids[r] = pid;
-    }
-    for (std::size_t r = 0; r < n; ++r) ::close(control.fds[r][1]);
-
-    // Gather every worker's "host:port", broadcast the list back. A worker
-    // that dies before publishing surfaces here as a truncated hello; its
-    // real error is picked up by collect_results below.
+/// The parent's side of the TCP rendezvous: gather every worker's
+/// "host:port" and broadcast the list back. Returns the error of a worker
+/// that failed before publishing (empty if none) — collect_results would
+/// otherwise only see the EOF that follows it. A worker that dies before
+/// publishing surfaces as a truncated hello; its real error is picked up
+/// by collect_results.
+std::string publish_endpoints(std::size_t n, const ControlChannels& control,
+                              const std::vector<pid_t>& pids) {
     std::vector<std::string> endpoints(n);
-    bool rendezvous_ok = true;
-    std::string preknown_error;
     for (std::size_t r = 0; r < n; ++r) {
         wire::Frame hello;
         bool got = false;
@@ -260,42 +184,97 @@ std::vector<std::vector<std::uint8_t>> run_tcp_ranks(
         } catch (const std::exception&) {
             got = false;
         }
-        if (got && hello.type == wire::kFrameError) {
-            // The worker failed before publishing a port (bind error, ...):
-            // keep its message — collect_results would otherwise only see
-            // the EOF that follows it.
-            preknown_error =
-                "worker " + std::to_string(r) + ": " +
-                std::string(hello.payload.begin(), hello.payload.end());
-            rendezvous_ok = false;
-            break;
-        }
         if (!got || hello.type != wire::kFrameHello) {
-            rendezvous_ok = false;
-            break;
+            // Without a complete endpoint list no worker can mesh: reap
+            // them rather than leave them blocked on the control read.
+            for (std::size_t k = 0; k < n; ++k) ::kill(pids[k], SIGKILL);
+            if (got && hello.type == wire::kFrameError)
+                return "worker " + std::to_string(r) + ": " +
+                       std::string(hello.payload.begin(),
+                                   hello.payload.end());
+            return {};
         }
         wire::ByteReader rd(hello.payload);
         endpoints[r] = "127.0.0.1:" + std::to_string(rd.u32());
     }
-    if (rendezvous_ok) {
-        wire::ByteWriter w;
-        w.u32(static_cast<std::uint32_t>(n));
-        for (const auto& e : endpoints) w.str(e);
-        for (std::size_t r = 0; r < n; ++r) {
-            try {
-                wire::write_frame(control.fds[r][0], wire::kFrameHosts,
-                                  w.bytes());
-            } catch (const std::exception&) {
-                // Dead worker; collect_results reports it.
-            }
+    wire::ByteWriter w;
+    w.u32(static_cast<std::uint32_t>(n));
+    for (const auto& e : endpoints) w.str(e);
+    for (std::size_t r = 0; r < n; ++r) {
+        try {
+            wire::write_frame(control.fds[r][0], wire::kFrameHosts,
+                              w.bytes());
+        } catch (const std::exception&) {
+            // Dead worker; collect_results reports it.
         }
-    } else {
-        // Without a complete endpoint list no worker can mesh: reap them
-        // rather than leave them blocked on the control read.
-        for (std::size_t r = 0; r < n; ++r) ::kill(pids[r], SIGKILL);
     }
-    return collect_results("run_tcp_ranks", n, control, pids,
-                           preknown_error);
+    return {};
+}
+
+/// The one fork-and-collect path both launchers share; `tcp` picks how a
+/// worker gets its peer fds (inherited socketpair row or rendezvous).
+std::vector<std::vector<std::uint8_t>> fork_ranks(const char* who,
+                                                  int nranks, bool tcp,
+                                                  ProgressMode mode,
+                                                  const RankMain& rank_main) {
+    if (nranks < 1)
+        throw std::invalid_argument(std::string(who) +
+                                    ": nranks must be >= 1");
+    const auto n = static_cast<std::size_t>(nranks);
+    const std::vector<std::vector<int>> mesh =
+        tcp ? std::vector<std::vector<int>>{} : socketpair_mesh(who, n);
+    ControlChannels control = make_control_channels(n);
+
+    std::vector<pid_t> pids(n, -1);
+    for (std::size_t r = 0; r < n; ++r) {
+        const pid_t pid = ::fork();
+        if (pid < 0) {
+            for (std::size_t k = 0; k < r; ++k) ::kill(pids[k], SIGKILL);
+            throw std::runtime_error(std::string(who) + ": fork failed");
+        }
+        if (pid == 0) {
+            // Worker: keep row r of the mesh and our control end; close
+            // every other inherited fd so peer EOF detection works.
+            for (std::size_t i = 0; i < mesh.size(); ++i)
+                for (const int fd : mesh[i])
+                    if (i != r && fd >= 0) ::close(fd);
+            for (std::size_t k = 0; k < n; ++k) {
+                ::close(control.fds[k][0]);
+                if (k != r) ::close(control.fds[k][1]);
+            }
+            const int rank = static_cast<int>(r);
+            const int control_fd = control.fds[r][1];
+            worker_main(
+                rank,
+                [&] {
+                    return tcp ? tcp_rendezvous(rank, n, control_fd)
+                               : mesh[r];
+                },
+                mode, control_fd, rank_main);
+        }
+        pids[r] = pid;
+    }
+
+    // Parent: release the workers' fds, then collect results.
+    for (const auto& row : mesh)
+        for (const int fd : row)
+            if (fd >= 0) ::close(fd);
+    for (std::size_t r = 0; r < n; ++r) ::close(control.fds[r][1]);
+    const std::string preknown_error =
+        tcp ? publish_endpoints(n, control, pids) : std::string{};
+    return collect_results(who, n, control, pids, preknown_error);
+}
+
+}  // namespace
+
+std::vector<std::vector<std::uint8_t>> run_process_ranks(
+    int nranks, const RankMain& rank_main, ProgressMode mode) {
+    return fork_ranks("run_process_ranks", nranks, false, mode, rank_main);
+}
+
+std::vector<std::vector<std::uint8_t>> run_tcp_ranks(
+    int nranks, ProgressMode mode, const RankMain& rank_main) {
+    return fork_ranks("run_tcp_ranks", nranks, true, mode, rank_main);
 }
 
 }  // namespace advect::msg

@@ -12,7 +12,6 @@
 #include <system_error>
 #include <thread>
 
-#include "chaos/inject.hpp"
 #include "msg/transport/wire.hpp"
 
 namespace advect::msg {
@@ -163,34 +162,6 @@ std::vector<int> tcp_connect_mesh(int rank,
         fds[static_cast<std::size_t>(peer)] = fd;
     }
     return fds;
-}
-
-TcpTransport::TcpTransport(int rank, std::vector<int> peer_fds,
-                           ProgressMode mode)
-    : rank_(rank), size_(static_cast<int>(peer_fds.size())) {
-    engine_ = std::make_unique<ProgressEngine>(rank, std::move(peer_fds),
-                                               mailbox_, mode);
-    // Polled mode has no engine thread: the Request wait paths must pump.
-    if (mode == ProgressMode::Polled) mailbox_.set_pump(engine_.get());
-}
-
-void TcpTransport::deliver(int dst, int tag, std::span<const double> data) {
-    if (dst == rank_) {  // self-send (periodic wrap): no socket round-trip
-        mailbox_.deliver(rank_, tag, data);
-        return;
-    }
-    engine_->enqueue_data(dst, tag, data);
-}
-
-void TcpTransport::request_retransmits() {
-    // Our own session may hold dropped self-sends; peers' sessions hold
-    // everything they dropped on the way to us.
-    chaos::request_retransmits();
-    engine_->enqueue_control_broadcast(wire::kFrameRetransmit);
-    // Polled mode: the rank asking for retransmits is (by definition) about
-    // to wait again, which pumps — but push the request frames out now so
-    // peers holding our data see them a slice earlier.
-    if (engine_->mode() == ProgressMode::Polled) engine_->pump(0.0);
 }
 
 }  // namespace advect::msg

@@ -1,6 +1,7 @@
 #pragma once
 /// \file tcp.hpp
-/// The cross-node transport (docs/TRANSPORT.md §stage 2): each rank is a
+/// The cross-node rendezvous (docs/TRANSPORT.md §stage 2): one of the two
+/// ways to produce a MeshTransport's peer fds (mesh.hpp). Each rank is a
 /// process (possibly on another host) holding one connected TCP socket per
 /// peer, built by host-list rendezvous rather than inherited socketpairs:
 ///
@@ -10,19 +11,13 @@
 ///   3. rank i accepts one connection per higher rank j > i and reads the
 ///      HELLO to learn who dialled.
 ///
-/// The wire framing, per-(src, dst) sequence verification, and mailbox
-/// matching are shared with the Unix-socket backend; what is new is the
-/// ProgressEngine (progress.hpp) owning the sockets, in either mode —
-/// a dedicated progress thread or the deliberately-unprogressed polled
-/// state machine the Fig-3 sweep measures against.
+/// Once connected, a TCP mesh runs through exactly the same MeshTransport
+/// as the socketpair mesh: same frames, same sequence verification, same
+/// progress engine in either mode.
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
-
-#include "msg/transport/progress.hpp"
-#include "msg/transport/transport.hpp"
 
 namespace advect::msg {
 
@@ -51,34 +46,10 @@ class TcpListener {
 /// Build rank `rank`'s full mesh from the published endpoint list (one
 /// "host:port" per rank): dial every lower rank (sending HELLO), accept
 /// every higher one (reading HELLO). Returns peer_fds indexed by rank, the
-/// own index -1, ready for TcpTransport.
+/// own index -1, ready for MeshTransport.
 [[nodiscard]] std::vector<int> tcp_connect_mesh(
     int rank, const std::vector<std::string>& endpoints,
     TcpListener& listener);
 
-class TcpTransport final : public Transport {
-  public:
-    /// Takes ownership of the connected mesh (from tcp_connect_mesh) and
-    /// starts the progress engine in `mode`.
-    TcpTransport(int rank, std::vector<int> peer_fds, ProgressMode mode);
-
-    [[nodiscard]] int rank() const override { return rank_; }
-    [[nodiscard]] int size() const override { return size_; }
-    void deliver(int dst, int tag, std::span<const double> data) override;
-    [[nodiscard]] Mailbox& mailbox() override { return mailbox_; }
-    void request_retransmits() override;
-    [[nodiscard]] const char* backend() const override { return "tcp"; }
-    [[nodiscard]] ProgressMode progress_mode() const {
-        return engine_->mode();
-    }
-
-  private:
-    int rank_;
-    int size_;
-    Mailbox mailbox_;
-    // Declared after the mailbox: the engine's teardown (which may still
-    // deliver inbound frames) runs first.
-    std::unique_ptr<ProgressEngine> engine_;
-};
 
 }  // namespace advect::msg

@@ -3,22 +3,23 @@
 /// The transport seam under msg::Communicator (docs/TRANSPORT.md). A
 /// Transport is one rank's endpoint in one job: it moves payload bytes to a
 /// destination rank's mailbox and owns (or fronts) the local mailbox that
-/// receives traffic addressed to this rank. Two backends implement it:
+/// receives traffic addressed to this rank. Two classes implement it:
 ///
 ///  * InProcessTransport (inproc.hpp) — ranks are threads sharing a World;
 ///    deliver() is a direct call into the destination thread's mailbox.
 ///    This is the seed substrate every existing caller gets by default.
-///  * SocketTransport (socket.hpp) — ranks are processes connected by a
-///    full mesh of stream sockets; deliver() writes a length-prefixed,
-///    sequence-numbered frame (wire.hpp) and a receiver thread feeds the
-///    local mailbox.
+///  * MeshTransport (mesh.hpp) — ranks are processes connected by a full
+///    mesh of stream sockets, either inherited socketpairs or a TCP
+///    rendezvous (tcp.hpp); deliver() sends a length-prefixed,
+///    sequence-numbered frame (wire.hpp) and a progress engine, on its own
+///    thread or pumped by waits, feeds the local mailbox.
 ///
-/// Semantics every backend must preserve (and the tests in
+/// Semantics every transport must preserve (and the tests in
 /// tests/test_transport.cpp verify): buffered sends (deliver returns once
 /// the payload is captured), per-(src, dst, tag) non-overtaking, and the
 /// chaos engine's ticketed-FIFO delivery — the chaos session holds the
 /// *closure over deliver()*, so drops and delays behave identically on
-/// both backends and seed replay stays bitwise.
+/// every transport and seed replay stays bitwise.
 
 #include <span>
 
@@ -44,12 +45,9 @@ class Transport {
 
     /// Ask every process of the job to release chaos-dropped sends
     /// (chaos::Session::retransmit_lost). In-process that is one call; the
-    /// socket backend also tells each peer process, since a dropped send is
+    /// mesh transport also tells each peer process, since a dropped send is
     /// held inside the *sender's* chaos session.
     virtual void request_retransmits() = 0;
-
-    /// Backend name for diagnostics: "inproc" or "socket".
-    [[nodiscard]] virtual const char* backend() const = 0;
 };
 
 }  // namespace advect::msg

@@ -1,6 +1,6 @@
 #pragma once
 /// \file wire.hpp
-/// Length-prefixed wire framing for the socket transport and the launcher's
+/// Length-prefixed wire framing for the mesh transport and the launcher's
 /// control channel (docs/TRANSPORT.md §wire format). A frame is
 ///
 ///     u8 type | u32 length | length bytes of payload
@@ -145,7 +145,7 @@ void write_frame(int fd, std::uint8_t type,
 [[nodiscard]] bool read_frame(int fd, Frame& out);
 
 /// A frame as contiguous bytes (header + payload), ready to queue on a
-/// nonblocking socket — the progress engine's outbound unit (progress.hpp).
+/// nonblocking socket — the mesh transport's outbound unit (mesh.hpp).
 [[nodiscard]] std::vector<std::uint8_t> encode_frame(
     std::uint8_t type, std::span<const std::uint8_t> payload);
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "impl/harness.hpp"
 #include "impl/registry.hpp"
 #include "verify/mms.hpp"
 
@@ -51,7 +52,7 @@ OrderStudy convergence_study(const std::string& impl_id, int fuse,
         // The CPU box of the hybrid implementations must be at least
         // fuse-deep (the fused shells live inside the walls).
         cfg.box_thickness = fuse > 1 ? fuse : 1;
-        const impl::SolveResult r = im.solve(cfg);
+        const impl::SolveResult r = impl::run_plan_solver(im.id, cfg);
         study.points.push_back({n, cfg.steps, r.error});
     }
     const std::size_t m = study.points.size();

@@ -9,6 +9,7 @@
 #include "core/decomposition.hpp"
 #include "core/initial.hpp"
 #include "core/problem.hpp"
+#include "impl/harness.hpp"
 #include "impl/launch.hpp"
 #include "impl/registry.hpp"
 #include "plan/ir.hpp"
@@ -221,12 +222,13 @@ FuzzCase sample_case(std::uint64_t seed) {
         if (c.vel_kind != core::VelocityKind::Constant) c.fuse = 1;
     }
 
-    // Stage-2 tcp leg (docs/TRANSPORT.md): drawn from an independently
-    // seeded generator appended after every historical draw, so each
-    // committed corpus seed still expands to the bitwise-identical case.
+    // Stage-2 tcp leg and the progress mode of both forked legs
+    // (docs/TRANSPORT.md): drawn from an independently seeded generator
+    // appended after every historical draw, so each committed corpus seed
+    // still expands to the bitwise-identical case.
     Rng tcp_rng{Rng{seed ^ 0x7c7c7c7cc7c7c7c7ull}.next()};
     c.tcp = c.tasks_per_gpu == 1 && tcp_rng.range(0, 2) == 0;
-    if (c.tcp) c.tcp_polled = tcp_rng.range(0, 1) != 0;
+    c.polled = tcp_rng.range(0, 1) != 0;
     return c;
 }
 
@@ -266,8 +268,8 @@ std::string describe(const FuzzCase& c) {
         c.boundary == FuzzBoundary::Periodic
             ? ""
             : (std::string(" bc=") + boundary_name(c.boundary)).c_str(),
-        c.socket ? " socket" : "",
-        c.tcp ? (c.tcp_polled ? " tcp-polled" : " tcp") : "",
+        c.socket ? (c.polled ? " socket-polled" : " socket") : "",
+        c.tcp ? (c.polled ? " tcp-polled" : " tcp") : "",
         c.chaos_scenario.empty() ? ""
                                  : (" chaos=" + c.chaos_scenario).c_str(),
         c.schedule_seed);
@@ -285,7 +287,7 @@ FuzzOutcome run_case(const FuzzCase& c) {
     // those cases on the single-task plan (same fused schedule) instead.
     const bool fused_open = open && c.fuse > 1;
     const auto reference =
-        fused_open ? impl::solve_single_task(base).state
+        fused_open ? impl::run_plan_solver("single_task", base).state
                    : core::run_reference(base.problem, base.steps);
     const char* baseline_name = fused_open ? "fused single_task" : "reference";
     const int min_extent = min_local_extent(c);
@@ -301,7 +303,7 @@ FuzzOutcome run_case(const FuzzCase& c) {
             continue;
         }
         try {
-            const auto r = im.solve(base);
+            const auto r = impl::run_plan_solver(im.id, base);
             ++out.checks;
             if (!r.state.interior_equals(reference))
                 fail(im.id + ": state diverges from " + baseline_name);
@@ -358,31 +360,35 @@ FuzzOutcome run_case(const FuzzCase& c) {
 
     // Pick deterministic implementations for the transport/chaos legs.
     Rng pick{c.seed ^ 0xa5a5a5a55a5a5a5aull};
+    const msg::ProgressMode progress =
+        c.polled ? msg::ProgressMode::Polled : msg::ProgressMode::Thread;
     static const char* const kCommImpls[] = {"mpi_bulk", "mpi_nonblocking",
                                              "mpi_thread_overlap"};
     static const char* const kGpuImpls[] = {"gpu_mpi_bulk",
                                             "gpu_mpi_streams"};
 
     // Oracle 4: the socket transport (forked worker processes) reproduces
-    // the in-process state bitwise.
+    // the in-process state bitwise, in the drawn progress mode.
     if (c.socket) {
         const std::string id = kCommImpls[pick.range(0, 2)];
         impl::LaunchOptions opts;
         opts.transport = impl::TransportKind::Socket;
+        opts.progress = progress;
         try {
             const auto rep = impl::launch_solver(id, base, opts);
             ++out.checks;
             if (!rep.result.state.interior_equals(reference))
-                fail(id + " over socket transport diverges from " +
-                     baseline_name);
+                fail(id + " over socket transport (" +
+                     msg::progress_mode_name(progress) +
+                     " progress) diverges from " + baseline_name);
         } catch (const plan::FuseGeometryError&) {
             ++out.skipped;
         }
     }
 
-    // Oracle 5: the tcp transport (rendezvous'd mesh + progress engine)
-    // reproduces the in-process state bitwise — in the drawn progress mode,
-    // so the polled no-async-progress state machine is fuzzed too. Its
+    // Oracle 5: the tcp transport (rendezvous'd mesh) reproduces the
+    // in-process state bitwise — in the drawn progress mode, so the polled
+    // no-async-progress state machine is fuzzed on both meshes. Its
     // implementation pick has its own generator so the historical legs'
     // draws stay untouched.
     if (c.tcp) {
@@ -390,14 +396,13 @@ FuzzOutcome run_case(const FuzzCase& c) {
         const std::string id = kCommImpls[tcp_pick.range(0, 2)];
         impl::LaunchOptions opts;
         opts.transport = impl::TransportKind::Tcp;
-        opts.progress = c.tcp_polled ? msg::ProgressMode::Polled
-                                     : msg::ProgressMode::Thread;
+        opts.progress = progress;
         try {
             const auto rep = impl::launch_solver(id, base, opts);
             ++out.checks;
             if (!rep.result.state.interior_equals(reference))
                 fail(id + " over tcp transport (" +
-                     msg::progress_mode_name(opts.progress) +
+                     msg::progress_mode_name(progress) +
                      " progress) diverges from " + baseline_name);
         } catch (const plan::FuseGeometryError&) {
             ++out.skipped;
@@ -416,6 +421,7 @@ FuzzOutcome run_case(const FuzzCase& c) {
             chaos::scenario_by_name(c.chaos_scenario, c.chaos_x, c.chaos_seed);
         impl::LaunchOptions opts;
         opts.fault_plan = &plan;
+        opts.progress = progress;
         if (c.socket && !gpu_fault)
             opts.transport = impl::TransportKind::Socket;
         try {

@@ -14,9 +14,8 @@
 ///    coefficients sum to exactly 1, so drift is bounded by roundoff);
 ///  * the discrete maximum principle whenever all 27 coefficients are
 ///    non-negative (Courant-1 cases: the scheme degenerates to a shift);
-///  * socket-transport runs bitwise-equal to in-process runs;
-///  * tcp-transport runs (rendezvous'd mesh + progress engine, in either
-///    progress mode) bitwise-equal to in-process runs;
+///  * socket- and tcp-transport runs (forked ranks on the mesh transport,
+///    in the drawn progress mode) bitwise-equal to in-process runs;
 ///  * chaos runs (message drops + retransmission, flaky kernel retries,
 ///    jitter/stragglers) bitwise-equal to the fault-free state;
 ///  * seeded schedule permutations bitwise-equal to plan-order issue.
@@ -71,7 +70,7 @@ struct FuzzCase {
     FuzzBoundary boundary = FuzzBoundary::Periodic;
     bool socket = false;       ///< also run the socket transport
     bool tcp = false;          ///< also run the tcp transport (stage 2)
-    bool tcp_polled = false;   ///< tcp leg with the progress engine off
+    bool polled = false;       ///< forked legs with the progress engine off
     std::string chaos_scenario;  ///< empty = no chaos leg
     double chaos_x = 0.0;        ///< scenario amplitude/probability
     std::uint64_t chaos_seed = 0;

@@ -2,23 +2,23 @@
 
 #include <cstdio>
 
-#include "impl/registry.hpp"
+#include "impl/harness.hpp"
 
 namespace advect::verify {
 
 ScheduleReport explore_schedules(const std::string& impl_id,
                                  impl::SolverConfig cfg,
                                  const std::vector<unsigned>& seeds) {
-    const impl::Implementation& im = impl::find_implementation(impl_id);
     ScheduleReport report;
     report.impl_id = impl_id;
 
     cfg.schedule_seed = 0;
-    const impl::SolveResult baseline = im.solve(cfg);
+    const impl::SolveResult baseline = impl::run_plan_solver(impl_id, cfg);
 
     for (const unsigned seed : seeds) {
         cfg.schedule_seed = seed == 0 ? 1 : seed;
-        const impl::SolveResult permuted = im.solve(cfg);
+        const impl::SolveResult permuted =
+            impl::run_plan_solver(impl_id, cfg);
         ++report.seeds_run;
         if (!permuted.state.interior_equals(baseline.state))
             report.divergent.push_back(cfg.schedule_seed);

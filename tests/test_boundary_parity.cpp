@@ -29,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include "core/problem.hpp"
+#include "impl/harness.hpp"
 #include "impl/registry.hpp"
 #include "plan/builders.hpp"
 #include "verify/mms.hpp"
@@ -130,7 +131,7 @@ TEST(BoundaryParity, PeriodicDefaultBitwisePin) {
             for (const int fuse : {1, 4})
                 for (const auto& e : impl::registry()) {
                     const auto cfg = pin_config(mixed, fuse);
-                    const auto r = e.solve(cfg);
+                    const auto r = impl::run_plan_solver(e.id, cfg);
                     std::printf("    {\"%s\", %s, %d, 0x%llxull},\n",
                                 e.id.c_str(), mixed ? "true" : "false", fuse,
                                 static_cast<unsigned long long>(
@@ -140,7 +141,7 @@ TEST(BoundaryParity, PeriodicDefaultBitwisePin) {
     }
     for (const PinnedHash& p : kPinned) {
         const auto cfg = pin_config(p.mixed, p.fuse);
-        const auto r = impl::find_implementation(p.impl_id).solve(cfg);
+        const auto r = impl::run_plan_solver(p.impl_id, cfg);
         EXPECT_EQ(interior_hash(r.state), p.hash)
             << p.impl_id << " mixed=" << p.mixed << " fuse=" << p.fuse;
     }
@@ -210,7 +211,8 @@ TEST(BoundaryParity, VariableCoefficientBitwisePin) {
     if (std::getenv("ADVECT_PRINT_PINS") != nullptr) {
         for (const char* problem : kVarProblems)
             for (const auto& e : impl::registry()) {
-                const auto r = e.solve(var_pin_config(problem));
+                const auto r =
+                    impl::run_plan_solver(e.id, var_pin_config(problem));
                 std::printf("    {\"%s\", \"%s\", 0x%llxull},\n",
                             e.id.c_str(), problem,
                             static_cast<unsigned long long>(
@@ -222,7 +224,7 @@ TEST(BoundaryParity, VariableCoefficientBitwisePin) {
               std::size(kVarProblems) * impl::registry().size());
     for (const VarPin& p : kVarPinned) {
         const auto r =
-            impl::find_implementation(p.impl_id).solve(var_pin_config(p.problem));
+            impl::run_plan_solver(p.impl_id, var_pin_config(p.problem));
         EXPECT_EQ(interior_hash(r.state), p.hash)
             << p.impl_id << " problem=" << p.problem;
     }
@@ -247,7 +249,7 @@ impl::SolverConfig scenario_config(core::AdvectionProblem problem, int fuse) {
 void expect_all_match(const impl::SolverConfig& cfg,
                       const core::Field3& baseline, const char* what) {
     for (const auto& e : impl::registry()) {
-        const auto r = e.solve(cfg);
+        const auto r = impl::run_plan_solver(e.id, cfg);
         EXPECT_TRUE(r.state.interior_equals(baseline))
             << e.id << " diverges (" << what << ", fuse=" << cfg.fuse << ")";
     }
@@ -301,7 +303,7 @@ TEST(BoundaryParity, FusedInflowIsImplementationInvariant) {
     for (const auto& problem : {advect::verify::inflow_problem(20),
                                 advect::verify::open_box_problem(20)}) {
         const auto cfg = scenario_config(problem, 4);
-        const auto baseline = impl::solve_single_task(cfg).state;
+        const auto baseline = impl::run_plan_solver("single_task", cfg).state;
         expect_all_match(cfg, baseline, "fused open boundary");
     }
 }
@@ -314,6 +316,7 @@ TEST(BoundaryParity, VariableCoefficientsRejectFusing) {
             20, core::VelocityKind::Deformational),
         4);
     for (const auto& e : impl::registry())
-        EXPECT_THROW((void)e.solve(cfg), advect::plan::FuseGeometryError)
+        EXPECT_THROW((void)impl::run_plan_solver(e.id, cfg),
+                     advect::plan::FuseGeometryError)
             << e.id;
 }

@@ -19,6 +19,7 @@
 #include "chaos/scenario_file.hpp"
 #include "core/problem.hpp"
 #include "impl/launch.hpp"
+#include "impl/harness.hpp"
 #include "impl/registry.hpp"
 #include "msg/comm.hpp"
 #include "sched/node_model.hpp"
@@ -62,7 +63,7 @@ ChaosRun chaos_solve(const impl::Implementation& entry,
     ChaosRun run;
     {
         chaos::Session session(plan);
-        run.result = entry.solve(cfg);
+        run.result = impl::run_plan_solver(entry.id, cfg);
         run.log = session.log();
     }
     trace::set_enabled(false);

@@ -16,6 +16,7 @@
 #include "core/fused.hpp"
 #include "core/problem.hpp"
 #include "core/stencil.hpp"
+#include "impl/harness.hpp"
 #include "impl/registry.hpp"
 #include "plan/ir.hpp"
 
@@ -58,8 +59,8 @@ TEST_P(FusedImpls, EveryImplementationBitwiseMatchesUnfused) {
         auto plain_cfg = cfg;
         plain_cfg.fuse = 1;
 
-        const auto fused = entry.solve(cfg);
-        const auto plain = entry.solve(plain_cfg);
+        const auto fused = impl::run_plan_solver(entry.id, cfg);
+        const auto plain = impl::run_plan_solver(entry.id, plain_cfg);
         EXPECT_TRUE(fused.state.interior_equals(plain.state))
             << entry.id << " diverges from its unfused run at fuse="
             << c.fuse << " steps=" << c.steps << " n=" << c.n;
@@ -144,8 +145,8 @@ TEST(FusedChain, CourantOneThroughEveryImplementation) {
         }
         auto plain_cfg = cfg;
         plain_cfg.fuse = 1;
-        const auto fused = entry.solve(cfg);
-        const auto plain = entry.solve(plain_cfg);
+        const auto fused = impl::run_plan_solver(entry.id, cfg);
+        const auto plain = impl::run_plan_solver(entry.id, plain_cfg);
         EXPECT_TRUE(fused.state.interior_equals(plain.state))
             << entry.id << " chain path diverges from its unfused run";
     }
@@ -164,7 +165,7 @@ TEST(FusedGeometry, ThinRankThrowsTypedErrorNamingTheRank) {
     cfg.ntasks = 2;  // 1x1x2 decomposition: local boxes 6x6x3
     cfg.fuse = 4;    // needs min extent >= 4
     try {
-        (void)impl::solve_mpi_bulk(cfg);
+        (void)impl::run_plan_solver("mpi_bulk", cfg);
         FAIL() << "expected FuseGeometryError";
     } catch (const plan::FuseGeometryError& e) {
         const std::string what = e.what();
@@ -173,7 +174,8 @@ TEST(FusedGeometry, ThinRankThrowsTypedErrorNamingTheRank) {
     }
     cfg.fuse = 3;  // feasible again: 3 <= min extent 3
     const auto ref = core::run_reference(cfg.problem, cfg.steps);
-    EXPECT_TRUE(impl::solve_mpi_bulk(cfg).state.interior_equals(ref));
+    EXPECT_TRUE(
+        impl::run_plan_solver("mpi_bulk", cfg).state.interior_equals(ref));
 }
 
 TEST(FusedGeometry, SingleTaskThinDomainThrows) {
@@ -181,9 +183,9 @@ TEST(FusedGeometry, SingleTaskThinDomainThrows) {
     cfg.problem = core::AdvectionProblem::standard(3);
     cfg.steps = 2;
     cfg.fuse = 4;
-    EXPECT_THROW((void)impl::solve_single_task(cfg),
+    EXPECT_THROW((void)impl::run_plan_solver("single_task", cfg),
                  plan::FuseGeometryError);
-    EXPECT_THROW((void)impl::solve_gpu_resident(cfg),
+    EXPECT_THROW((void)impl::run_plan_solver("gpu_resident", cfg),
                  plan::FuseGeometryError);
 }
 
@@ -197,13 +199,14 @@ TEST(FusedGeometry, BoxWallsThinnerThanFuseThrow) {
     cfg.block_y = 4;
     cfg.box_thickness = 1;
     cfg.fuse = 2;
-    EXPECT_THROW((void)impl::solve_cpu_gpu_bulk(cfg),
+    EXPECT_THROW((void)impl::run_plan_solver("cpu_gpu_bulk", cfg),
                  plan::FuseGeometryError);
-    EXPECT_THROW((void)impl::solve_cpu_gpu_overlap(cfg),
+    EXPECT_THROW((void)impl::run_plan_solver("cpu_gpu_overlap", cfg),
                  plan::FuseGeometryError);
     cfg.box_thickness = 2;  // feasible again
     const auto ref = core::run_reference(cfg.problem, cfg.steps);
-    EXPECT_TRUE(impl::solve_cpu_gpu_overlap(cfg).state.interior_equals(ref));
+    EXPECT_TRUE(impl::run_plan_solver("cpu_gpu_overlap", cfg)
+                    .state.interior_equals(ref));
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <cmath>
 
 #include "core/problem.hpp"
+#include "impl/harness.hpp"
 #include "impl/registry.hpp"
 
 namespace core = advect::core;
@@ -37,7 +38,8 @@ TEST(SingleTask, MatchesReferenceAcrossThreadCounts) {
     for (int threads : {1, 2, 3, 4}) {
         auto cfg = base_config(16, 4);
         cfg.threads_per_task = threads;
-        expect_matches_reference(cfg, impl::solve_single_task(cfg));
+        expect_matches_reference(cfg,
+                                 impl::run_plan_solver("single_task", cfg));
     }
 }
 
@@ -54,7 +56,7 @@ TEST_P(MpiImpls, BulkMatchesReference) {
     auto cfg = base_config(c.n, 4);
     cfg.ntasks = c.ntasks;
     cfg.threads_per_task = c.threads;
-    expect_matches_reference(cfg, impl::solve_mpi_bulk(cfg));
+    expect_matches_reference(cfg, impl::run_plan_solver("mpi_bulk", cfg));
 }
 
 TEST_P(MpiImpls, NonblockingMatchesReference) {
@@ -62,7 +64,8 @@ TEST_P(MpiImpls, NonblockingMatchesReference) {
     auto cfg = base_config(c.n, 4);
     cfg.ntasks = c.ntasks;
     cfg.threads_per_task = c.threads;
-    expect_matches_reference(cfg, impl::solve_mpi_nonblocking(cfg));
+    expect_matches_reference(cfg,
+                             impl::run_plan_solver("mpi_nonblocking", cfg));
 }
 
 TEST_P(MpiImpls, ThreadOverlapMatchesReference) {
@@ -70,7 +73,8 @@ TEST_P(MpiImpls, ThreadOverlapMatchesReference) {
     auto cfg = base_config(c.n, 4);
     cfg.ntasks = c.ntasks;
     cfg.threads_per_task = c.threads;
-    expect_matches_reference(cfg, impl::solve_mpi_thread_overlap(cfg));
+    expect_matches_reference(cfg,
+                             impl::run_plan_solver("mpi_thread_overlap", cfg));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -110,17 +114,18 @@ TEST_P(GpuImpls, ResidentMatchesReference) {
     const auto c = GetParam();
     if (c.ntasks != 1) GTEST_SKIP() << "resident is single-task";
     const auto cfg = gpu_config(c);
-    expect_matches_reference(cfg, impl::solve_gpu_resident(cfg));
+    expect_matches_reference(cfg, impl::run_plan_solver("gpu_resident", cfg));
 }
 
 TEST_P(GpuImpls, MpiBulkMatchesReference) {
     const auto cfg = gpu_config(GetParam());
-    expect_matches_reference(cfg, impl::solve_gpu_mpi_bulk(cfg));
+    expect_matches_reference(cfg, impl::run_plan_solver("gpu_mpi_bulk", cfg));
 }
 
 TEST_P(GpuImpls, MpiStreamsMatchesReference) {
     const auto cfg = gpu_config(GetParam());
-    expect_matches_reference(cfg, impl::solve_gpu_mpi_streams(cfg));
+    expect_matches_reference(cfg,
+                             impl::run_plan_solver("gpu_mpi_streams", cfg));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -148,7 +153,7 @@ TEST_P(CpuGpuImpls, BulkMatchesReference) {
     cfg.block_x = 4;
     cfg.block_y = 4;
     cfg.box_thickness = c.thickness;
-    expect_matches_reference(cfg, impl::solve_cpu_gpu_bulk(cfg));
+    expect_matches_reference(cfg, impl::run_plan_solver("cpu_gpu_bulk", cfg));
 }
 
 TEST_P(CpuGpuImpls, OverlapMatchesReference) {
@@ -159,7 +164,8 @@ TEST_P(CpuGpuImpls, OverlapMatchesReference) {
     cfg.block_x = 4;
     cfg.block_y = 4;
     cfg.box_thickness = c.thickness;
-    expect_matches_reference(cfg, impl::solve_cpu_gpu_overlap(cfg));
+    expect_matches_reference(cfg,
+                             impl::run_plan_solver("cpu_gpu_overlap", cfg));
 }
 
 INSTANTIATE_TEST_SUITE_P(BoxSweep, CpuGpuImpls,
@@ -176,11 +182,13 @@ TEST(CpuGpuImpls, InfeasibleBoxThrowsInsteadOfDeadlocking) {
     auto cfg = base_config(14, 2);
     cfg.ntasks = 3;  // 1x1x3 decomposition: z extents 5, 5, 4
     cfg.box_thickness = 2;
-    EXPECT_THROW((void)impl::solve_cpu_gpu_bulk(cfg), std::invalid_argument);
-    EXPECT_THROW((void)impl::solve_cpu_gpu_overlap(cfg),
+    EXPECT_THROW((void)impl::run_plan_solver("cpu_gpu_bulk", cfg),
+                 std::invalid_argument);
+    EXPECT_THROW((void)impl::run_plan_solver("cpu_gpu_overlap", cfg),
                  std::invalid_argument);
     cfg.box_thickness = 1;  // feasible again
-    expect_matches_reference(cfg, impl::solve_cpu_gpu_overlap(cfg));
+    expect_matches_reference(cfg,
+                             impl::run_plan_solver("cpu_gpu_overlap", cfg));
 }
 
 // ---------------------------------------------------------------------------
@@ -207,7 +215,7 @@ TEST(Registry, EveryImplementationRunsAndMatchesReference) {
     for (const auto& entry : impl::registry()) {
         auto c = cfg;
         if (!entry.uses_mpi) c.ntasks = 1;
-        const auto result = entry.solve(c);
+        const auto result = impl::run_plan_solver(entry.id, c);
         EXPECT_TRUE(result.state.interior_equals(ref)) << entry.id;
         EXPECT_GT(result.wall_seconds, 0.0) << entry.id;
     }

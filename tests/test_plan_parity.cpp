@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/decomposition.hpp"
+#include "impl/harness.hpp"
 #include "impl/registry.hpp"
 #include "plan/builders.hpp"
 #include "sched/node_model.hpp"
@@ -59,7 +60,7 @@ std::vector<trace::Span> rank0_plan_spans(const impl::Implementation& entry) {
 
     trace::reset();
     trace::set_enabled(true);
-    (void)entry.solve(cfg);
+    (void)impl::run_plan_solver(entry.id, cfg);
     trace::set_enabled(false);
 
     std::vector<trace::Span> out;

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "impl/harness.hpp"
 #include "impl/registry.hpp"
 #include "sched/report.hpp"
 #include "trace/export.hpp"
@@ -236,7 +237,7 @@ TEST_F(TraceTest, MeasuredOverlapSeparatesBulkFromFullOverlap) {
     auto measure = [&](const char* id) {
         trace::reset();
         trace::set_enabled(true);
-        impl::find_implementation(id).solve(cfg);
+        (void)impl::run_plan_solver(id, cfg);
         trace::set_enabled(false);
         const auto spans = trace::snapshot();
         EXPECT_FALSE(spans.empty()) << id;

@@ -1,9 +1,10 @@
 // Tests for the transport seam (docs/TRANSPORT.md): wire framing, the
-// forked socket-rank launcher, cross-backend parity for all nine
-// implementations (bitwise solutions, identical chaos fault logs, identical
-// trace shapes), and the collective deadline contract — a chaos drop inside
-// a collective terminates with CollectiveTimeoutError naming the stalled
-// phase and rank instead of hanging.
+// forked rank launchers over the {socketpair, tcp} x {thread, polled}
+// matrix, cross-transport parity for all nine implementations (bitwise
+// solutions, identical chaos fault logs, identical trace shapes), and the
+// collective deadline contract — a chaos drop inside a collective
+// terminates with CollectiveTimeoutError naming the stalled phase and rank
+// instead of hanging.
 //
 // These tests fork; keep them out of any TSan job (thread sanitizers and
 // fork do not mix).
@@ -16,6 +17,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -50,6 +52,38 @@ impl::SolverConfig small_config(int n = 12, int steps = 2) {
     cfg.block_y = 4;
     return cfg;
 }
+
+using RankMain = std::function<std::vector<std::uint8_t>(msg::Communicator&)>;
+
+/// One forked cell of the {socket, tcp} x {thread, polled} matrix: which
+/// launcher connects the mesh, and how its transport makes progress.
+struct ForkedCase {
+    impl::TransportKind transport;
+    msg::ProgressMode mode;
+
+    [[nodiscard]] std::string name() const {
+        return std::string(impl::transport_name(transport)) + "/" +
+               msg::progress_mode_name(mode);
+    }
+    [[nodiscard]] impl::LaunchOptions options(
+        impl::LaunchOptions opts = {}) const {
+        opts.transport = transport;
+        opts.progress = mode;
+        return opts;
+    }
+    [[nodiscard]] std::vector<std::vector<std::uint8_t>> run_ranks(
+        int nranks, const RankMain& rank_main) const {
+        return transport == impl::TransportKind::Tcp
+                   ? msg::run_tcp_ranks(nranks, mode, rank_main)
+                   : msg::run_process_ranks(nranks, rank_main, mode);
+    }
+};
+const ForkedCase kForked[] = {
+    {impl::TransportKind::Socket, msg::ProgressMode::Thread},
+    {impl::TransportKind::Socket, msg::ProgressMode::Polled},
+    {impl::TransportKind::Tcp, msg::ProgressMode::Thread},
+    {impl::TransportKind::Tcp, msg::ProgressMode::Polled},
+};
 
 double elapsed_since(std::chrono::steady_clock::time_point t0) {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -180,12 +214,14 @@ TEST(Backoff, TinyPlanTimeoutDoesNotStormRetransmits) {
 }
 
 // ---------------------------------------------------------------------------
-// The forked socket-rank launcher.
+// The forked rank launchers: run_process_ranks (inherited socketpair mesh)
+// and run_tcp_ranks (host-list rendezvous), each with the mesh transport's
+// progress engine on its own thread or polled.
 
 TEST(ProcessRanks, RingExchangeAcrossProcesses) {
-    const int n = 3;
-    const auto payloads =
-        msg::run_process_ranks(n, [](msg::Communicator& comm) {
+    for (const ForkedCase& fc : kForked) {
+        const int n = 3;
+        const auto payloads = fc.run_ranks(n, [](msg::Communicator& comm) {
             const int rank = comm.rank();
             const int next = (rank + 1) % comm.size();
             const int prev = (rank + comm.size() - 1) % comm.size();
@@ -201,167 +237,101 @@ TEST(ProcessRanks, RingExchangeAcrossProcesses) {
             w.f64(sum);
             return w.take();
         });
-    ASSERT_EQ(payloads.size(), 3u);
-    for (int rank = 0; rank < n; ++rank) {
-        wire::ByteReader r(payloads[static_cast<std::size_t>(rank)]);
-        EXPECT_EQ(r.f64(), static_cast<double>((rank + n - 1) % n)) << rank;
-        EXPECT_EQ(r.f64(), 3.0) << rank;  // 0 + 1 + 2
-    }
-}
-
-TEST(ProcessRanks, WorkerErrorSurfacesInTheParent) {
-    EXPECT_THROW(
-        (void)msg::run_process_ranks(2,
-                                     [](msg::Communicator& comm)
-                                         -> std::vector<std::uint8_t> {
-                                         if (comm.rank() == 1)
-                                             throw std::runtime_error(
-                                                 "worker boom");
-                                         return {};
-                                     }),
-        std::runtime_error);
-}
-
-// ---------------------------------------------------------------------------
-// The TCP launcher (docs/TRANSPORT.md §stage 2): host-list rendezvous into
-// a full mesh, progress engine in either mode.
-
-TEST(TcpRanks, RingExchangeAcrossProcessesBothProgressModes) {
-    for (auto mode : {msg::ProgressMode::Thread, msg::ProgressMode::Polled}) {
-        const int n = 3;
-        const auto payloads =
-            msg::run_tcp_ranks(n, mode, [](msg::Communicator& comm) {
-                const int rank = comm.rank();
-                const int next = (rank + 1) % comm.size();
-                const int prev = (rank + comm.size() - 1) % comm.size();
-                const std::vector<double> out{static_cast<double>(rank), 0.5};
-                std::vector<double> in(2);
-                auto req = comm.irecv(prev, 3, in);
-                comm.isend(next, 3, out).wait();
-                req.wait();
-                const double sum = comm.allreduce_sum(in[0]);
-                comm.barrier();
-                wire::ByteWriter w;
-                w.f64(in[0]);
-                w.f64(sum);
-                return w.take();
-            });
-        ASSERT_EQ(payloads.size(), 3u) << msg::progress_mode_name(mode);
+        ASSERT_EQ(payloads.size(), 3u) << fc.name();
         for (int rank = 0; rank < n; ++rank) {
             wire::ByteReader r(payloads[static_cast<std::size_t>(rank)]);
             EXPECT_EQ(r.f64(), static_cast<double>((rank + n - 1) % n))
-                << msg::progress_mode_name(mode) << " rank " << rank;
-            EXPECT_EQ(r.f64(), 3.0) << msg::progress_mode_name(mode);
+                << fc.name() << " rank " << rank;
+            EXPECT_EQ(r.f64(), 3.0) << fc.name();  // 0 + 1 + 2
         }
     }
 }
 
-TEST(TcpRanks, PeerDeathSurfacesDisconnectNamingTheRank) {
+TEST(ProcessRanks, WorkerErrorSurfacesInTheParent) {
+    for (const ForkedCase& fc : kForked) {
+        try {
+            (void)fc.run_ranks(
+                2, [](msg::Communicator& comm) -> std::vector<std::uint8_t> {
+                    if (comm.rank() == 1)
+                        throw std::runtime_error("worker boom");
+                    return {};
+                });
+            FAIL() << "expected the worker error (" << fc.name() << ")";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find("worker boom"),
+                      std::string::npos)
+                << fc.name() << ": " << e.what();
+        }
+    }
+}
+
+TEST(ProcessRanks, PeerDeathSurfacesDisconnectNamingTheRank) {
     // Rank 1 finishes immediately; rank 0 posts a receive that can never
     // complete. The EOF must convert to the typed TransportError naming the
     // departed peer (flattened to its message across the process boundary),
     // within the teardown bound — never a hang, never a raw socket error.
-    for (auto mode : {msg::ProgressMode::Thread, msg::ProgressMode::Polled}) {
+    for (const ForkedCase& fc : kForked) {
         const auto t0 = std::chrono::steady_clock::now();
         try {
-            (void)msg::run_tcp_ranks(
-                2, mode,
-                [](msg::Communicator& comm) -> std::vector<std::uint8_t> {
+            (void)fc.run_ranks(
+                2, [](msg::Communicator& comm) -> std::vector<std::uint8_t> {
                     if (comm.rank() == 1) return {};
                     std::vector<double> buf(4);
                     comm.recv(1, 3, buf);
                     return {};
                 });
-            FAIL() << "expected the disconnect to surface ("
-                   << msg::progress_mode_name(mode) << ")";
+            FAIL() << "expected the disconnect to surface (" << fc.name()
+                   << ")";
         } catch (const std::runtime_error& e) {
             const std::string what = e.what();
             EXPECT_NE(what.find("peer rank 1 disconnected"),
                       std::string::npos)
-                << what;
+                << fc.name() << ": " << what;
         }
-        EXPECT_LT(elapsed_since(t0), 30.0) << msg::progress_mode_name(mode);
+        EXPECT_LT(elapsed_since(t0), 30.0) << fc.name();
     }
 }
 
 // ---------------------------------------------------------------------------
-// Cross-backend parity: the socket substrate must be invisible in results.
+// Cross-transport parity: the process substrate must be invisible in
+// results, on either mesh and in either progress mode.
 
 TEST(Parity, AllNineBitwiseIdenticalAcrossTransports) {
     const auto cfg = small_config();
     for (const auto& entry : impl::registry()) {
-        impl::LaunchOptions inproc;
-        impl::LaunchOptions socket;
-        socket.transport = impl::TransportKind::Socket;
-        const auto a = impl::launch_solver(entry.id, cfg, inproc);
-        const auto b = impl::launch_solver(entry.id, cfg, socket);
-        EXPECT_TRUE(a.result.state.interior_equals(b.result.state))
-            << entry.id;
-        EXPECT_GT(b.result.wall_seconds, 0.0) << entry.id;
-    }
-}
-
-TEST(Parity, AllNineBitwiseIdenticalOverTcpBothProgressModes) {
-    // The stage-2 acceptance gate: every implementation, over the
-    // rendezvous'd TCP mesh, with the progress engine on and off, bitwise
-    // equal to the in-process run.
-    const auto cfg = small_config();
-    for (const auto& entry : impl::registry()) {
-        impl::LaunchOptions inproc;
-        const auto a = impl::launch_solver(entry.id, cfg, inproc);
-        for (auto mode :
-             {msg::ProgressMode::Thread, msg::ProgressMode::Polled}) {
-            impl::LaunchOptions tcp;
-            tcp.transport = impl::TransportKind::Tcp;
-            tcp.progress = mode;
-            const auto b = impl::launch_solver(entry.id, cfg, tcp);
+        const auto a = impl::launch_solver(entry.id, cfg, {});
+        for (const ForkedCase& fc : kForked) {
+            const auto b = impl::launch_solver(entry.id, cfg, fc.options());
             EXPECT_TRUE(a.result.state.interior_equals(b.result.state))
-                << entry.id << " over tcp ("
-                << msg::progress_mode_name(mode) << " progress)";
-            EXPECT_GT(b.result.wall_seconds, 0.0) << entry.id;
+                << entry.id << " over " << fc.name();
+            EXPECT_GT(b.result.wall_seconds, 0.0)
+                << entry.id << " over " << fc.name();
         }
     }
 }
 
-TEST(Parity, ChaosSeedReplayLogsIdenticalOverTcp) {
-    // Drop-and-retransmit through the progress engine: the recovered state
-    // and the merged fault log must match the in-process run exactly, in
-    // both progress modes (retransmit requests travel as RETRANS frames the
-    // engine services).
-    const auto cfg = small_config(14, 3);
-    const auto drops = chaos::message_drops(0.5, 11);
-    impl::LaunchOptions inproc;
-    inproc.fault_plan = &drops;
-    const auto a = impl::launch_solver("mpi_nonblocking", cfg, inproc);
-    ASSERT_GT(a.fault_log.size(), 0u);
-    for (auto mode : {msg::ProgressMode::Thread, msg::ProgressMode::Polled}) {
-        impl::LaunchOptions tcp = inproc;
-        tcp.transport = impl::TransportKind::Tcp;
-        tcp.progress = mode;
-        const auto b = impl::launch_solver("mpi_nonblocking", cfg, tcp);
-        ASSERT_EQ(a.fault_log.size(), b.fault_log.size())
-            << msg::progress_mode_name(mode);
-        EXPECT_EQ(a.fault_log, b.fault_log) << msg::progress_mode_name(mode);
-        EXPECT_TRUE(a.result.state.interior_equals(b.result.state))
-            << msg::progress_mode_name(mode);
-    }
-}
-
 TEST(Parity, ChaosSeedReplayLogsIdenticalAcrossTransports) {
+    // Drop-and-retransmit and jitter through the mesh transport: the
+    // recovered state and the merged fault log must match the in-process
+    // run exactly, in both progress modes (retransmit requests travel as
+    // RETRANS frames the engine services).
     const auto cfg = small_config(14, 3);
     const auto jitter = chaos::nic_jitter(150.0, 42);
     const auto drops = chaos::message_drops(0.5, 11);
     for (const auto* plan : {&jitter, &drops}) {
         impl::LaunchOptions inproc;
         inproc.fault_plan = plan;
-        impl::LaunchOptions socket = inproc;
-        socket.transport = impl::TransportKind::Socket;
         const auto a = impl::launch_solver("mpi_nonblocking", cfg, inproc);
-        const auto b = impl::launch_solver("mpi_nonblocking", cfg, socket);
         ASSERT_GT(a.fault_log.size(), 0u);
-        ASSERT_EQ(a.fault_log.size(), b.fault_log.size());
-        EXPECT_EQ(a.fault_log, b.fault_log);  // sorted by the launcher
-        EXPECT_TRUE(a.result.state.interior_equals(b.result.state));
+        for (const ForkedCase& fc : kForked) {
+            const auto b =
+                impl::launch_solver("mpi_nonblocking", cfg, fc.options(inproc));
+            ASSERT_EQ(a.fault_log.size(), b.fault_log.size()) << fc.name();
+            EXPECT_EQ(a.fault_log, b.fault_log)  // sorted by the launcher
+                << fc.name();
+            EXPECT_TRUE(a.result.state.interior_equals(b.result.state))
+                << fc.name();
+        }
     }
 }
 

@@ -11,6 +11,7 @@
 
 #include "core/problem.hpp"
 #include "core/source.hpp"
+#include "impl/harness.hpp"
 #include "impl/registry.hpp"
 #include "verify/fuzz.hpp"
 #include "verify/mms.hpp"
@@ -96,7 +97,7 @@ TEST_P(MmsParity, AllImplementationsMatchReferenceWithSource) {
     cfg.box_thickness = fuse > 1 ? fuse : 1;
     const auto reference = core::run_reference(cfg.problem, cfg.steps);
     for (const auto& im : impl::registry()) {
-        const auto r = im.solve(cfg);
+        const auto r = impl::run_plan_solver(im.id, cfg);
         EXPECT_TRUE(r.state.interior_equals(reference))
             << im.id << " diverges from reference with the source active"
             << " (fuse=" << fuse << ")";
@@ -111,13 +112,13 @@ TEST(MmsNorms, PureManufacturedErrorIsSmallAndShrinks) {
     impl::SolverConfig cfg;
     cfg.problem = verify::mms_problem(16);
     cfg.steps = 8;
-    const auto coarse = impl::solve_single_task(cfg);
+    const auto coarse = impl::run_plan_solver("single_task", cfg);
     EXPECT_GT(coarse.error.l2, 1e-12);  // a real discretisation error
     EXPECT_LT(coarse.error.l2, 0.5);
 
     cfg.problem = verify::mms_problem(32);
     cfg.steps = 16;
-    const auto fine = impl::solve_single_task(cfg);
+    const auto fine = impl::run_plan_solver("single_task", cfg);
     EXPECT_LT(fine.error.l2, 0.5 * coarse.error.l2);
 }
 

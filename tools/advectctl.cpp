@@ -20,14 +20,15 @@
 ///                     [--x amp] [--seed s] [--scenario name]
 ///                     [--trace out.json] [impl] [n] [steps] [threads]
 ///       run one implementation through the launcher (docs/TRANSPORT.md):
-///       ranks as threads over the in-process mailbox, as forked worker
-///       processes over the Unix-socket transport, or over the rendezvous'd
-///       TCP mesh with the progress engine on (--progress on, a dedicated
-///       per-process thread) or off (polled, no asynchronous progress —
-///       the paper's Fig-3 pathology). --scenario selects a
+///       ranks as threads over the in-process mailbox, or as forked worker
+///       processes on the mesh transport, joined by inherited socketpairs
+///       (socket) or TCP rendezvous (tcp). On either mesh the progress
+///       engine runs on (--progress on, a dedicated per-process thread) or
+///       off (polled, no asynchronous progress — the paper's Fig-3
+///       pathology). --scenario selects a
 ///       named workload (docs/SCENARIOS.md): variable-coefficient velocity
 ///       and/or open boundaries. Output (solution check, fault log, trace
-///       summary) is identical across backends
+///       summary) is identical across transports
 ///   advectctl scenarios
 ///       list the named workload scenarios --scenario accepts
 ///   advectctl plan    [impl] [n] [tasks] [box] [out.json]
@@ -62,6 +63,7 @@
 #include "chaos/scenario_file.hpp"
 #include "core/decomposition.hpp"
 #include "core/scenario.hpp"
+#include "impl/harness.hpp"
 #include "impl/launch.hpp"
 #include "impl/registry.hpp"
 #include "chaos/gameday.hpp"
@@ -121,7 +123,7 @@ int cmd_solve(int argc, char** argv) {
     std::printf("solving %d^3 x %d steps with %s (%s)...\n",
                 cfg.problem.domain.n, cfg.steps, entry.id.c_str(),
                 entry.paper_section.c_str());
-    const auto r = entry.solve(cfg);
+    const auto r = impl::run_plan_solver(entry.id, cfg);
     const auto ref = core::run_reference(cfg.problem, cfg.steps);
     std::printf("  wall %.3f s   host %.2f GF   Linf vs analytic %.3e   "
                 "matches reference: %s\n",
@@ -151,7 +153,7 @@ int cmd_trace(int argc, char** argv) {
                 entry.paper_section.c_str());
     advect::trace::reset();
     advect::trace::set_enabled(true);
-    const auto r = entry.solve(cfg);
+    const auto r = impl::run_plan_solver(entry.id, cfg);
     advect::trace::set_enabled(false);
     const auto spans = advect::trace::snapshot();
 
@@ -249,7 +251,7 @@ int cmd_chaos(int argc, char** argv) {
     trace::reset();
     trace::set_enabled(true);
     auto session = std::make_unique<chaos::Session>(plan);
-    const auto r = entry.solve(cfg);
+    const auto r = impl::run_plan_solver(entry.id, cfg);
     const auto log = session->log();
     const double injected_ms = 1e3 * session->max_rank_injected_seconds();
     session.reset();  // join delivery threads before snapshotting spans
@@ -363,11 +365,16 @@ int cmd_launch(int argc, char** argv) {
     }
 
     const auto& entry = impl::find_implementation(id);
-    std::printf("launching %d^3 x %d steps of %s (%s) on the %s transport, "
+    std::printf("launching %d^3 x %d steps of %s (%s) on the %s transport%s, "
                 "%d rank(s), scenario %s...\n",
                 cfg.problem.domain.n, cfg.steps, entry.id.c_str(),
                 entry.paper_section.c_str(),
                 impl::transport_name(opts.transport),
+                opts.transport == impl::TransportKind::InProcess
+                    ? ""
+                    : (opts.progress == msg::ProgressMode::Thread
+                           ? " (progress thread)"
+                           : " (progress polled)"),
                 entry.uses_mpi ? cfg.ntasks : 1,
                 scenario_name.empty() ? "periodic" : scenario_name.c_str());
     const impl::LaunchReport report = impl::launch_solver(id, cfg, opts);
@@ -592,7 +599,7 @@ int cmd_verify_norms(int argc, char** argv) {
     cfg.fuse = fuse;
     cfg.ntasks = impl::find_implementation(id).uses_mpi ? 2 : 1;
     cfg.threads_per_task = 2;
-    const auto r = impl::find_implementation(id).solve(cfg);
+    const auto r = impl::run_plan_solver(id, cfg);
     std::printf(
         "%s on the manufactured problem, n=%d steps=%d fuse=%d:\n"
         "  L1 %.6e  L2 %.6e  Linf %.6e\n",
