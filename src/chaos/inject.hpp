@@ -22,8 +22,11 @@
 /// Lifetime precondition: the Session must outlive the run it perturbs, and
 /// every perturbed message must be received before run_ranks returns (all
 /// nine implementations wait on every halo message each step, so this holds
-/// by construction). Deliveries still pending when the Session is destroyed
-/// are discarded, never delivered to a dead mailbox.
+/// by construction). A held delivery may still fire after its sender's rank
+/// thread has exited; msg::Communicator's delivery closure shares ownership
+/// of the in-process transport and its World for that case. Deliveries
+/// still pending when the Session is destroyed are discarded, never
+/// delivered to a dead mailbox.
 
 #include <atomic>
 #include <condition_variable>

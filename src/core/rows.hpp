@@ -106,7 +106,8 @@ void apply_stencil_rows(const StencilCoeffs& a, const Field3& in, Field3& out,
 
 /// Copy rows [lo, hi) from `src` to `dst` (the paper's Step 3, "copy the new
 /// state to the current state"). Rows are x-contiguous, so this is one
-/// memcpy per row.
+/// memcpy per row. No implementation runs it (plan Op::Copy flips the
+/// fields); BM_CopyRows times it to calibrate socket_bw_gbs.
 void copy_rows(const Field3& src, Field3& dst, const RowSpace& rows,
                std::int64_t lo, std::int64_t hi);
 

@@ -142,7 +142,7 @@ PlanExecutor::PlanExecutor(const plan::StepPlan& plan, ExecContext ctx)
     fused_.resize(plan.tasks.size());
     for (std::size_t i = 0; i < plan.tasks.size(); ++i) {
         const auto& t = plan.tasks[i];
-        if (t.op != plan::Op::Stencil && t.op != plan::Op::Copy) continue;
+        if (t.op != plan::Op::Stencil) continue;
         std::vector<core::Range3> regs;
         for (const auto& r : t.payload.regions)
             if (!r.empty()) regs.push_back(r);
@@ -150,7 +150,7 @@ PlanExecutor::PlanExecutor(const plan::StepPlan& plan, ExecContext ctx)
         // §IV-C) leave a zero-row space the dispatcher skips, exactly as the
         // hand-written drivers skipped absent slabs.
         if (!regs.empty()) {
-            if (t.op == plan::Op::Stencil && t.payload.fuse > 1) {
+            if (t.payload.fuse > 1) {
                 // Temporal blocking: decompose into cache-sized tiles each
                 // advanced `fuse` steps; the tiles are the parallel unit.
                 fused_[i] = core::FusedSweepPlan(regs, t.payload.fuse);
@@ -167,9 +167,12 @@ PlanExecutor::PlanExecutor(const plan::StepPlan& plan, ExecContext ctx)
         scratch_.resize(scratch_stride_ * static_cast<std::size_t>(workers));
     }
     if (plan.mode == plan::Mode::TeamStages) {
-        for (std::size_t i = 0; i < plan.tasks.size(); ++i)
+        for (std::size_t i = 0; i < plan.tasks.size(); ++i) {
             if (plan.tasks[i].op == plan::Op::MasterExchange)
                 master_task_ = static_cast<int>(i);
+            if (plan.tasks[i].op == plan::Op::Copy)
+                copy_task_ = static_cast<int>(i);
+        }
     }
     if (plan.mode == plan::Mode::HostIssue && ctx_.cfg != nullptr &&
         ctx_.cfg->schedule_seed != 0)
@@ -288,9 +291,12 @@ void PlanExecutor::run_team_stages() {
             }
         }
     });
+    if (tracing) stage_end[nstages - 1] = trace::now();
+    // Step 3 closes the step on the rank thread, once the team has joined.
+    if (copy_task_ >= 0) ctx_.cur->swap(*ctx_.nxt);
 
     if (!tracing) return;
-    stage_end[nstages - 1] = trace::now();
+    const double flip_end = trace::now();
     const int rank = trace::current_rank();
     if (master_task_ >= 0) {
         const plan::Task& m = plan_->tasks[static_cast<std::size_t>(
@@ -305,6 +311,11 @@ void PlanExecutor::run_team_stages() {
         const plan::Task& t = plan_->tasks[stages_[s]];
         trace::record(t.name, "plan", t.lane, start, stage_end[s], rank);
         start = stage_end[s];
+    }
+    if (copy_task_ >= 0) {
+        const plan::Task& c =
+            plan_->tasks[static_cast<std::size_t>(copy_task_)];
+        trace::record(c.name, "plan", c.lane, start, flip_end, rank);
     }
 }
 
@@ -338,10 +349,6 @@ std::int64_t PlanExecutor::units(std::size_t index) const {
 void PlanExecutor::sweep(std::size_t index, std::int64_t lo, std::int64_t hi,
                          int tid) {
     const core::RowSpace& rows = rows_[index];
-    if (plan_->tasks[index].op == plan::Op::Copy) {
-        core::copy_rows(*ctx_.nxt, *ctx_.cur, rows, lo, hi);
-        return;
-    }
     const core::FusedSweepPlan& fp = fused_[index];
     if (fp.size() > 0) {
         core::FusedSource fsrc;
@@ -413,8 +420,7 @@ void PlanExecutor::run_task(const plan::Task& task, std::size_t index) {
                                             base_level());
             }
             break;
-        case plan::Op::Stencil:
-        case plan::Op::Copy: {
+        case plan::Op::Stencil: {
             if (units(index) == 0) break;
             omp::LoopScheduler sched(0, units(index), to_omp(p.schedule),
                                      ctx_.team->size());
@@ -425,6 +431,11 @@ void PlanExecutor::run_task(const plan::Task& task, std::size_t index) {
             });
             break;
         }
+        case plan::Op::Copy:
+            // Step 3 as a flip (§IV-E's argument swap, on the host): the
+            // storage moves, no point does. ExecContext pointers stay valid.
+            ctx_.cur->swap(*ctx_.nxt);
+            break;
         case plan::Op::HostPack:
             ctx_.staging->pack_inbound(*ctx_.cur);
             break;

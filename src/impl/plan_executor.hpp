@@ -31,6 +31,8 @@ namespace advect::impl {
 struct ExecContext {
     const SolverConfig* cfg = nullptr;
     const core::StencilCoeffs* coeffs = nullptr;
+    /// A Copy task swaps the storage behind these two, never the pointers,
+    /// so every executor sharing the context sees the flip.
     core::Field3* cur = nullptr;  ///< current host state (the mirror in F/G)
     core::Field3* nxt = nullptr;  ///< new host state (unused by E/F/G)
     advect::omp::ThreadTeam* team = nullptr;
@@ -78,15 +80,18 @@ class PlanExecutor {
     /// run_task under a chaos session: retries launches the injector failed
     /// (each retry draws a fresh occurrence, so retries terminate).
     void run_task_retrying(const plan::Task& task, std::size_t index);
-    /// Parallel work units of a Stencil or Copy task: its fused tiles when
-    /// it fuses, else its rows.
+    /// Parallel work units of a Stencil task: its fused tiles when it
+    /// fuses, else its rows.
     [[nodiscard]] std::int64_t units(std::size_t index) const;
     /// The one sweep dispatch, which both execution modes drain: units
-    /// [lo, hi) of Stencil or Copy task `index` on worker `tid`. A fused
-    /// Stencil advances cache-sized tiles `fuse` steps through the worker's
-    /// scratch (docs/PERF.md "Temporal blocking"); an unfused one sweeps
-    /// rows with the variable or constant row kernel, then adds the
-    /// manufactured source to the same rows; a Copy is the paper's Step 3.
+    /// [lo, hi) of Stencil task `index` on worker `tid`. A fused Stencil
+    /// advances cache-sized tiles `fuse` steps through the worker's scratch
+    /// (docs/PERF.md "Temporal blocking"); an unfused one sweeps rows with
+    /// the variable or constant row kernel, then adds the manufactured
+    /// source to the same rows. Copy tasks never sweep: the paper's Step 3
+    /// runs as an O(1) flip of cur and nxt (Field3::swap), which is exact
+    /// because every host point outside the Copy regions is rewritten
+    /// before it is next read (plan::StepPlan::validate_error).
     void sweep(std::size_t index, std::int64_t lo, std::int64_t hi, int tid);
     /// Per-thread scratch slice for apply_fused_tile.
     [[nodiscard]] std::span<double> scratch(int thread_id);
@@ -117,8 +122,11 @@ class PlanExecutor {
     std::vector<core::FusedSweepPlan> fused_;
     std::vector<double> scratch_;       ///< per-thread fused-tile scratch
     std::size_t scratch_stride_ = 0;    ///< doubles per thread in scratch_
-    std::vector<std::size_t> stages_;   ///< TeamStages: Stencil/Copy tasks
+    std::vector<std::size_t> stages_;   ///< TeamStages: Stencil tasks
     int master_task_ = -1;              ///< TeamStages: MasterExchange task
+    /// TeamStages: the Copy task, flipped by the rank thread after the
+    /// parallel region joins (-1 when the plan has none).
+    int copy_task_ = -1;
     int step_ = 0;  ///< steps completed; the chaos injection coordinate
 };
 

@@ -165,6 +165,8 @@ MachineSpec MachineSpec::localhost() {
     m.intra_node_bw_gbs = 4.0;
     m.mpi_progress = 0.80;
     m.overlap_call_us = 0.5;
+    // The executor runs Step 3 as a buffer flip, not the paper's copy.
+    m.copy_bytes_per_point = 0.0;
     // The simulated GPU (docs/ARCHITECTURE.md) executes on host threads;
     // price it like the C2050 it models so GPU-implementation jobs are
     // admittable on a host with no physical device.
@@ -265,8 +267,8 @@ void calibrate_localhost(MachineSpec& m, const std::string& text,
     }
     if (fused_best > 0.0) m.fused_core_gf = fused_best * 53.0e-9;
 
-    // Streaming copy rate: 16 B/point (read + write) of the new-to-current
-    // copy, the same accounting as copy_bytes_per_point.
+    // Streaming copy rate: BM_CopyRows moves 16 B/point (read + write), the
+    // paper machines' copy_bytes_per_point accounting.
     if (const json::Value* copy =
             best_series_entry(*benchmarks, "BM_CopyRows");
         copy != nullptr)

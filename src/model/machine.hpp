@@ -116,9 +116,12 @@ struct MachineSpec {
     /// pencils; < 1 penalises §IV-C/D versus the fused bulk pass).
     double boundary_eff = 0.8;
     /// Bytes per point of the Step 3 new-to-current copy (§IV-A). The
-    /// paper's CPU implementations copy (16 B/pt: read + write); its GPU
-    /// kernels flip arguments instead. Set to 0 to model a buffer-swap CPU
-    /// variant (see bench_ablation_copy).
+    /// paper's CPU implementations copy (16 B/pt: read + write), so the four
+    /// Table II machines keep 16 and every modelled figure stays the
+    /// paper's; its GPU kernels flip arguments instead. localhost() sets 0
+    /// because this runtime's executor flips the host fields too (plan
+    /// Op::Copy): admission and `advectctl plan` then price what runs.
+    /// bench_ablation_copy sets 0 on a paper machine to model the swap.
     double copy_bytes_per_point = 16.0;
 
     // --- calibrated network rates ---------------------------------------

@@ -6,9 +6,11 @@
 #include <cmath>
 #include <exception>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "chaos/inject.hpp"
@@ -44,8 +46,8 @@ World::World(int nranks)
     if (nranks < 1) throw std::invalid_argument("World: nranks must be >= 1");
 }
 
-Communicator::Communicator(World& world, int rank)
-    : owned_(std::make_shared<InProcessTransport>(world, rank)),
+Communicator::Communicator(std::shared_ptr<World> world, int rank)
+    : owned_(std::make_shared<InProcessTransport>(std::move(world), rank)),
       transport_(owned_.get()),
       rank_(rank) {}
 
@@ -55,10 +57,13 @@ Request Communicator::isend(int dest, int tag, std::span<const double> data) {
     // Chaos injection point: the active session may take over delivery
     // (delay, drop-until-retransmit, or FIFO-queue behind an earlier
     // perturbed send on this channel). The payload is copied into the
-    // closure, preserving buffered-send semantics either way.
+    // closure, preserving buffered-send semantics either way. A held send
+    // can fire after this rank's thread has exited (a dropped message the
+    // receiver asks to have retransmitted), so the closure shares ownership
+    // of an in-process transport and, through it, of the World.
     if (chaos::active() &&
         chaos::on_send(rank_, dest,
-                       [t = transport_, dest, tag,
+                       [keep = owned_, t = transport_, dest, tag,
                         payload = std::vector<double>(data.begin(),
                                                       data.end())] {
                            t->deliver(dest, tag, payload);
@@ -231,7 +236,7 @@ double Communicator::broadcast(double value, int root,
 
 void run_ranks(int nranks,
                const std::function<void(Communicator&)>& rank_main) {
-    World world(nranks);
+    const auto world = std::make_shared<World>(nranks);
     std::exception_ptr first_error;
     std::mutex error_mu;
     {

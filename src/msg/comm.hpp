@@ -68,7 +68,7 @@ class World {
 class Communicator {
   public:
     /// In-process rank handle (ranks as threads; the default substrate).
-    Communicator(World& world, int rank);
+    Communicator(std::shared_ptr<World> world, int rank);
     /// Rank handle over an explicit transport (forked mesh workers).
     explicit Communicator(Transport& transport)
         : transport_(&transport), rank_(transport.rank()) {}
@@ -129,7 +129,8 @@ class Communicator {
     void await(Request& req, const char* op, const std::string& phase,
                double deadline);
 
-    std::shared_ptr<Transport> owned_;  ///< set by the in-process ctor
+    /// Set by the in-process ctor; chaos-held sends share it (isend).
+    std::shared_ptr<Transport> owned_;
     Transport* transport_;
     int rank_;
 };

@@ -3,7 +3,12 @@
 /// The in-process transport: ranks are threads sharing one World, and
 /// deliver() is a direct call into the destination rank's mailbox — the
 /// "cluster in a process" substitution documented in DESIGN.md §2. Each
-/// rank thread owns one InProcessTransport handle onto the shared World.
+/// rank thread owns one InProcessTransport handle onto the shared World, and
+/// every handle shares ownership of it: a chaos-held delivery that outlives
+/// its sending rank's thread still lands in a live mailbox.
+
+#include <memory>
+#include <utility>
 
 #include "msg/comm.hpp"
 #include "msg/transport/transport.hpp"
@@ -12,7 +17,8 @@ namespace advect::msg {
 
 class InProcessTransport final : public Transport {
   public:
-    InProcessTransport(World& world, int rank) : world_(&world), rank_(rank) {}
+    InProcessTransport(std::shared_ptr<World> world, int rank)
+        : world_(std::move(world)), rank_(rank) {}
 
     [[nodiscard]] int rank() const override { return rank_; }
     [[nodiscard]] int size() const override { return world_->size(); }
@@ -28,7 +34,7 @@ class InProcessTransport final : public Transport {
     void request_retransmits() override;
 
   private:
-    World* world_;
+    std::shared_ptr<World> world_;
     int rank_;
 };
 

@@ -35,6 +35,64 @@ const char* op_name(Op op) {
     return "?";
 }
 
+namespace {
+
+bool touches_host_state(Op op) {
+    switch (op) {
+        case Op::Stencil:
+        case Op::HaloFill:
+        case Op::BoundaryFill:
+        case Op::PackSend:
+        case Op::Unpack:
+        case Op::MasterExchange:
+        case Op::HostPack:
+        case Op::HostUnpack:
+            return true;
+        default:
+            return false;
+    }
+}
+
+/// The executor runs the Copy task as a flip of the host cur/nxt pair, so a
+/// host-state task must sit on one fixed side of it: an ancestor reads and
+/// writes the pre-flip fields, a descendant the post-flip ones. Requires
+/// backward-pointing dependencies (checked first by validate_error).
+std::string flip_order_error(const std::vector<Task>& tasks) {
+    int copy = -1;
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+        if (tasks[i].op != Op::Copy) continue;
+        if (copy >= 0)
+            return "tasks '" + tasks[static_cast<std::size_t>(copy)].name +
+                   "' and '" + tasks[i].name +
+                   "' are both copy tasks; a step flips its host fields once";
+        copy = static_cast<int>(i);
+    }
+    if (copy < 0) return {};
+    // Ancestors sit before the copy, descendants after it, so one mark
+    // vector serves both walks.
+    std::vector<char> ordered(tasks.size(), 0);
+    ordered[static_cast<std::size_t>(copy)] = 1;
+    for (int i = copy; i >= 0; --i)
+        if (ordered[static_cast<std::size_t>(i)] != 0)
+            for (const int d : tasks[static_cast<std::size_t>(i)].deps)
+                ordered[static_cast<std::size_t>(d)] = 1;
+    for (std::size_t i = static_cast<std::size_t>(copy) + 1; i < tasks.size();
+         ++i)
+        for (const int d : tasks[i].deps)
+            if (d >= copy && ordered[static_cast<std::size_t>(d)] != 0)
+                ordered[i] = 1;
+    for (std::size_t i = 0; i < tasks.size(); ++i)
+        if (ordered[i] == 0 && touches_host_state(tasks[i].op))
+            return "task '" + tasks[i].name + "' (" + op_name(tasks[i].op) +
+                   ") touches host state but is neither an ancestor nor a "
+                   "descendant of copy task '" +
+                   tasks[static_cast<std::size_t>(copy)].name +
+                   "'; it could run on either side of the flip";
+    return {};
+}
+
+}  // namespace
+
 std::string StepPlan::validate_error() const {
     if (tasks.empty()) return "plan has no tasks";
     if (fuse < 1) return "fuse factor must be >= 1";
@@ -98,7 +156,7 @@ std::string StepPlan::validate_error() const {
             return "task '" + t.name + "' names unknown cross-step dep '" +
                    t.cross_step_dep + "'";
     }
-    return {};
+    return flip_order_error(tasks);
 }
 
 std::string StepPlan::fuse_geometry_error() const {

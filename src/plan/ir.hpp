@@ -51,7 +51,13 @@ enum class Op {
     BoundaryFill,  ///< open-boundary halo overwrite of payload.dim's open
                    ///< faces, staged after that dim's exchange/fill (cpu)
     Stencil,     ///< Equation 2 over payload.regions (cpu)
-    Copy,        ///< new-state -> current-state copy over payload.regions
+    /// The paper's Step 3 (§IV-A): new state becomes current state over
+    /// payload.regions, the points the CPU wrote. The executor flips the
+    /// host cur/nxt pair in O(1) instead of copying; the DES lowering still
+    /// prices the copy at the machine's copy_bytes_per_point (16 B/pt on
+    /// the paper machines, 0 on localhost, which runs the flip). At most
+    /// one per plan (validate_error).
+    Copy,
     HostPack,    ///< host packs staging buffer from field regions (cpu)
     HostUnpack,  ///< host scatters staging buffer into field regions (cpu)
     CopyH2D,     ///< staging buffer PCIe transfer to the device
@@ -63,7 +69,7 @@ enum class Op {
     KernelStencil, ///< stencil kernel over payload.regions[0]
     KernelFace,    ///< small boundary-face kernel over payload.regions[0]
     Sync,        ///< host blocks on stream/step completion (cpu)
-    Swap,        ///< flip current/new device fields (bookkeeping)
+    Swap,        ///< flip current/new device fields (§IV-E; free)
 };
 
 [[nodiscard]] const char* op_name(Op op);
@@ -172,8 +178,12 @@ struct StepPlan {
     /// acyclic (they must point to earlier tasks), terminal in range, every
     /// task's lane claimed from a resource the plan declares (gpu/pcie lanes
     /// require uses_gpu, nic requires uses_comm), and per-task fuse factors
-    /// consistent with the plan's. Returns an empty string when valid, else
-    /// a description of the first defect.
+    /// consistent with the plan's. The Copy flip's precondition: at most one
+    /// Copy task, and every task touching host state (Stencil, HaloFill,
+    /// BoundaryFill, PackSend, Unpack, MasterExchange, HostPack, HostUnpack)
+    /// is its ancestor or descendant, so no issue order the executor may
+    /// draw puts it on the wrong side of the flip. Returns an empty string
+    /// when valid, else a description of the first defect.
     [[nodiscard]] std::string validate_error() const;
 
     /// Fuse-vs-geometry validation: a fuse factor whose deepened halo

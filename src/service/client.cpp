@@ -89,7 +89,15 @@ CompletedJob Client::read_completion(const wire::Frame& event_frame) {
 }
 
 std::uint64_t Client::submit(const JobSpec& spec) {
+    send_submit(spec);
+    return read_submit_ack();
+}
+
+void Client::send_submit(const JobSpec& spec) {
     write_text_frame(fd_, kFrameSubmit, job_to_json(spec));
+}
+
+std::uint64_t Client::read_submit_ack() {
     // The daemon answers submissions in order, but completion events for
     // earlier jobs may arrive first; buffer them.
     while (true) {

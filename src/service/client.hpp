@@ -68,8 +68,15 @@ class Client {
 
     /// Submit one job; returns its daemon-assigned id. Throws
     /// RejectedError on refusal, TimeoutError when the daemon does not
-    /// answer in time.
+    /// answer in time. Equivalent to send_submit then read_submit_ack.
     std::uint64_t submit(const JobSpec& spec);
+
+    /// The two halves of submit, for pipelined submission: write one submit
+    /// frame without waiting, and read the ack of the oldest submission not
+    /// yet acknowledged (the daemon answers each connection's submissions
+    /// in order). read_submit_ack throws as submit does.
+    void send_submit(const JobSpec& spec);
+    std::uint64_t read_submit_ack();
 
     /// Read completion events until `id` finishes (events for other jobs
     /// on this connection are buffered and returned by later waits).

@@ -154,15 +154,17 @@ GameDayOutcome run_game_day(const GameDayConfig& cfg) {
             clients.push_back(connect_when_up(socket_path, cfg.timeout_s));
         }
 
-        // Interleave submissions round-robin so every tenant is backlogged
-        // from the first scheduling rounds on.
+        // Write every tenant's submit frames, interleaved round-robin,
+        // before reading any ack. The daemon drains every buffered frame
+        // before each dispatch, so all tenants stay backlogged for the
+        // whole run however fast a job solves; waiting for each ack would
+        // let the daemon dispatch between submissions instead.
         std::vector<int> target(tenants.size());
         std::vector<int> submitted(tenants.size(), 0);
         for (std::size_t i = 0; i < tenants.size(); ++i)
             target[i] = std::max(
                 1, static_cast<int>(std::lround(weights[i] *
                                                 cfg.jobs_per_weight)));
-        std::vector<std::vector<std::uint64_t>> ids(tenants.size());
         bool more = true;
         while (more) {
             more = false;
@@ -171,10 +173,16 @@ GameDayOutcome run_game_day(const GameDayConfig& cfg) {
                 JobSpec spec = cfg.base;
                 spec.tenant = tenants[i];
                 spec.return_state = cfg.verify_states;
-                ids[i].push_back(clients[i].submit(spec));
+                clients[i].send_submit(spec);
                 ++submitted[i];
-                ++outcome.admitted;
                 more = true;
+            }
+        }
+        std::vector<std::vector<std::uint64_t>> ids(tenants.size());
+        for (std::size_t i = 0; i < tenants.size(); ++i) {
+            for (int k = 0; k < submitted[i]; ++k) {
+                ids[i].push_back(clients[i].read_submit_ack());
+                ++outcome.admitted;
             }
         }
 

@@ -7,13 +7,23 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "core/decomposition.hpp"
+#include "core/initial.hpp"
 #include "core/problem.hpp"
+#include "impl/exchange.hpp"
 #include "impl/harness.hpp"
+#include "impl/plan_executor.hpp"
 #include "impl/registry.hpp"
+#include "msg/comm.hpp"
+#include "omp/thread_team.hpp"
+#include "plan/builders.hpp"
 
 namespace core = advect::core;
 namespace impl = advect::impl;
+namespace msg = advect::msg;
+namespace plan = advect::plan;
 
 namespace {
 
@@ -219,6 +229,51 @@ TEST(Registry, EveryImplementationRunsAndMatchesReference) {
         EXPECT_TRUE(result.state.interior_equals(ref)) << entry.id;
         EXPECT_GT(result.wall_seconds, 0.0) << entry.id;
     }
+}
+
+// ---------------------------------------------------------------------------
+// Step 3 moves no data: the executor runs each plan's Copy task as a flip of
+// the host field pair, so a step hands `cur` the buffer `nxt` held.
+
+void expect_step_three_flips(const std::string& id, msg::Communicator* comm) {
+    const auto problem = core::AdvectionProblem::standard(12);
+    const auto n = problem.domain.extents();
+    const plan::StepPlan p = plan::build_step_plan(id, {n});
+    const auto coeffs = problem.coeffs();
+    core::Field3 cur(n, p.fuse);
+    core::Field3 nxt(n, p.fuse);
+    core::fill_initial(cur, problem.domain, problem.wave);
+    advect::omp::ThreadTeam team(2);
+    impl::HaloExchange exchange(core::make_decomposition(n, 1), 0, p.fuse);
+
+    impl::ExecContext ctx;
+    ctx.coeffs = &coeffs;
+    ctx.cur = &cur;
+    ctx.nxt = &nxt;
+    ctx.team = &team;
+    ctx.comm = comm;
+    ctx.exchange = &exchange;
+    impl::PlanExecutor exec(p, ctx);
+
+    const double* original = cur.raw().data();
+    const double* other = nxt.raw().data();
+    exec.run_step();
+    EXPECT_EQ(cur.raw().data(), other) << id;
+    EXPECT_EQ(nxt.raw().data(), original) << id;
+    exec.run_step();
+    EXPECT_EQ(cur.raw().data(), original) << id;
+    EXPECT_TRUE(cur.interior_equals(core::run_reference(problem, 2))) << id;
+}
+
+TEST(StepThree, HostIssueFlipsTheFieldPair) {
+    expect_step_three_flips("single_task", nullptr);
+}
+
+TEST(StepThree, TeamStagesFlipsTheFieldPair) {
+    // One rank: the master exchange wraps every face onto itself.
+    msg::run_ranks(1, [](msg::Communicator& comm) {
+        expect_step_three_flips("mpi_thread_overlap", &comm);
+    });
 }
 
 // ---------------------------------------------------------------------------

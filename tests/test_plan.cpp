@@ -2,7 +2,8 @@
 /// The step-plan IR: all nine builders produce valid plans on a range of
 /// geometries, and validate() rejects the malformed plans a hand-written
 /// builder could produce — cyclic or dangling dependencies, duplicate
-/// names, and tasks on resource lanes the plan never claims.
+/// names, tasks on resource lanes the plan never claims, and host-state
+/// tasks the Copy flip leaves unordered.
 
 #include <gtest/gtest.h>
 
@@ -146,6 +147,35 @@ TEST(PlanValidate, RejectsDeviceTaskWithoutDevice) {
         p.uses_gpu = true;
         EXPECT_EQ(p.validate_error(), "");
     }
+}
+
+TEST(PlanValidate, RejectsHostStateTaskUnorderedWithTheCopy) {
+    // The executor flips the host field pair at the Copy task; a host-state
+    // task with no path to or from it could be issued on either side.
+    auto p = tiny_plan();
+    plan::Task stray;
+    stray.name = "unpack_shell";
+    stray.op = plan::Op::HostUnpack;
+    stray.lane = advect::trace::Lane::Cpu;
+    stray.deps = {0};  // after the halo fill, unordered with the copy
+    p.tasks.push_back(stray);
+    p.terminal = 2;
+    const std::string err = p.validate_error();
+    EXPECT_NE(err.find("'unpack_shell'"), std::string::npos) << err;
+    EXPECT_THROW(plan::validate(p), std::logic_error);
+
+    p.tasks[2].deps = {1};  // a descendant: it sees the post-flip fields
+    EXPECT_EQ(p.validate_error(), "");
+}
+
+TEST(PlanValidate, RejectsSecondCopyTask) {
+    auto p = tiny_plan();
+    plan::Task again = p.tasks[1];
+    again.name = "copy_again";
+    again.deps = {1};
+    p.tasks.push_back(again);
+    p.terminal = 2;
+    EXPECT_NE(p.validate_error().find("'copy_again'"), std::string::npos);
 }
 
 TEST(PlanValidate, RejectsUnknownCrossStepDep) {
