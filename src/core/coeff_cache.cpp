@@ -57,7 +57,8 @@ CoeffCache::CoeffCache(const CoeffField& cf, Extents3 local, Index3 origin)
 
 void apply_stencil_var_rows(const CoeffCache& cache, const Field3& in,
                             Field3& out, const RowSpace& rows,
-                            std::int64_t lo, std::int64_t hi) {
+                            std::int64_t lo, std::int64_t hi,
+                            const FusedSource* src, bool wrap) {
     const std::ptrdiff_t sj = in.x_stride();
     const std::ptrdiff_t sk = in.xy_stride();
     rows.for_each_row(lo, hi, [&](const RowSpace::Row& r) {
@@ -66,6 +67,7 @@ void apply_stencil_var_rows(const CoeffCache& cache, const Field3& in,
                                   in.ptr(r.xlo, r.j, r.k),
                                   out.ptr(r.xlo, r.j, r.k), r.xhi - r.xlo, sj,
                                   sk);
+        detail::finish_row(out, r, src, wrap);
     });
 }
 

@@ -114,9 +114,11 @@ class CoeffCache {
 /// Variable-coefficient analogue of apply_stencil_rows: rows [lo, hi) of
 /// `rows` through apply_stencil_var_row_ptr, coefficients from `cache`
 /// (rows may start at xlo > 0; the cache row is indexed by absolute local
-/// i).
+/// i), each row then finished by detail::finish_row(out, row, src, wrap).
 void apply_stencil_var_rows(const CoeffCache& cache, const Field3& in,
                             Field3& out, const RowSpace& rows,
-                            std::int64_t lo, std::int64_t hi);
+                            std::int64_t lo, std::int64_t hi,
+                            const FusedSource* src = nullptr,
+                            bool wrap = false);
 
 }  // namespace advect::core

@@ -148,4 +148,36 @@ void fill_periodic_halo(Field3& f, int depth) {
     for (int d = 0; d < 3; ++d) fill_periodic_halo_dim(f, d, depth);
 }
 
+void wrap_periodic_row(Field3& f, int j, int k) {
+    const Extents3 n = f.extents();
+    const int h = f.halo_width();
+    assert(h <= n.nx && h <= n.ny && h <= n.nz);
+    // x images: [0, h) wraps to [nx, nx + h), [nx - h, nx) to [-h, 0).
+    double* row = f.ptr(0, j, k);
+    for (int i = 0; i < h; ++i) {
+        row[n.nx + i] = row[i];
+        row[i - h] = row[n.nx - h + i];
+    }
+
+    // y/z images: a coordinate c within h of its low face also appears at
+    // c + n, within h of its high face at c - n (both when n == h).
+    const auto images = [h](int c, int nc, int (&out)[3]) {
+        int m = 0;
+        out[m++] = c;
+        if (c < h) out[m++] = c + nc;
+        if (c >= nc - h) out[m++] = c - nc;
+        return m;
+    };
+    int js[3];
+    int ks[3];
+    const int nj = images(j, n.ny, js);
+    const int nk = images(k, n.nz, ks);
+    const std::size_t padded =
+        static_cast<std::size_t>(n.nx + 2 * h) * sizeof(double);
+    for (int b = 0; b < nk; ++b)
+        for (int a = 0; a < nj; ++a)
+            if (a != 0 || b != 0)
+                std::memcpy(f.ptr(-h, js[a], ks[b]), f.ptr(-h, j, k), padded);
+}
+
 }  // namespace advect::core

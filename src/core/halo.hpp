@@ -61,4 +61,16 @@ void fill_periodic_halo_dim(Field3& f, int dim, int depth = 0);
 /// default) fills the field's full halo width.
 void fill_periodic_halo(Field3& f, int depth = 0);
 
+/// Periodic images of one written interior row (j, k), whole in x: every
+/// halo point of `f` (full halo width h) whose periodic preimage lies in
+/// the row. First the row's x-wrap values (its h points at each x face,
+/// copied to the opposite x halo of the same row), then the padded row
+/// copied to each of its 0-3 y/z images. Reads only row (j, k). With
+/// h <= n in every dimension each halo point has exactly one interior
+/// preimage, so once every interior row has been written and wrapped -- in
+/// any order, by any thread -- the halo equals fill_periodic_halo's, bit
+/// for bit. The single-task sweep's row epilogue (docs/PERF.md "Step 1 is
+/// a row epilogue").
+void wrap_periodic_row(Field3& f, int j, int k);
+
 }  // namespace advect::core

@@ -4,6 +4,9 @@
 #include <cassert>
 #include <cstring>
 
+#include "core/fused.hpp"
+#include "core/halo.hpp"
+#include "core/source.hpp"
 #include "core/stencil.hpp"
 
 namespace advect::core {
@@ -50,13 +53,28 @@ RowSpace::Row RowSpace::row(std::int64_t flat) const {
 }
 
 void apply_stencil_rows(const StencilCoeffs& a, const Field3& in, Field3& out,
-                        const RowSpace& rows, std::int64_t lo,
-                        std::int64_t hi) {
+                        const RowSpace& rows, std::int64_t lo, std::int64_t hi,
+                        const FusedSource* src, bool wrap) {
     const StencilPlan plan = StencilPlan::make(a, in);
     rows.for_each_row(lo, hi, [&](const RowSpace::Row& r) {
         apply_stencil_row_ptr(plan, in.ptr(r.xlo, r.j, r.k),
                               out.ptr(r.xlo, r.j, r.k), r.xhi - r.xlo);
+        detail::finish_row(out, r, src, wrap);
     });
+}
+
+void detail::finish_row(Field3& out, const RowSpace::Row& r,
+                        const FusedSource* src, bool wrap) {
+    // Adding Q after the row's stencil pass is bitwise-identical to adding
+    // it inside the kernel: each point is (stencil sum) + Q either way.
+    if (src != nullptr && src->field.active())
+        add_source_plane(out.ptr(r.xlo, r.j, r.k), 0, r.xhi - r.xlo, 1,
+                         src->origin.i + r.xlo, src->origin.j + r.j,
+                         src->origin.k + r.k, src->base_level, src->field);
+    if (wrap) {
+        assert(r.xlo == 0 && r.xhi == out.extents().nx);
+        wrap_periodic_row(out, r.j, r.k);
+    }
 }
 
 void copy_rows(const Field3& src, Field3& dst, const RowSpace& rows,

@@ -98,11 +98,28 @@ class RowSpace {
     mutable std::atomic<std::size_t> last_region_{0};
 };
 
+struct FusedSource;  // core/fused.hpp
+
 /// Apply the stencil to rows [lo, hi) of `rows`: the unit of work handed to
 /// one scheduler chunk in the OpenMP-style implementations. Uses the
 /// StencilPlan fast path; bitwise-identical to the stencil_point reference.
+/// Each row is finished before the next one starts (detail::finish_row):
+/// with an active `src` it gains the manufactured increment at
+/// src->base_level, and with `wrap` it then writes its periodic images
+/// into `out`'s halo.
 void apply_stencil_rows(const StencilCoeffs& a, const Field3& in, Field3& out,
-                        const RowSpace& rows, std::int64_t lo, std::int64_t hi);
+                        const RowSpace& rows, std::int64_t lo, std::int64_t hi,
+                        const FusedSource* src = nullptr, bool wrap = false);
+
+namespace detail {
+/// The row epilogue of apply_stencil_rows and apply_stencil_var_rows, on a
+/// row `r` of `out` the stencil just wrote: add src's increment (when `src`
+/// is non-null and active), then, with `wrap`, wrap_periodic_row -- which
+/// takes whole x-rows, so `r` must then span `out`'s interior in x
+/// (docs/PERF.md "Step 1 is a row epilogue").
+void finish_row(Field3& out, const RowSpace::Row& r, const FusedSource* src,
+                bool wrap);
+}  // namespace detail
 
 /// Copy rows [lo, hi) from `src` to `dst` (the paper's Step 3, "copy the new
 /// state to the current state"). Rows are x-contiguous, so this is one

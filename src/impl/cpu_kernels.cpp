@@ -14,9 +14,11 @@ double now_seconds() {
     return std::chrono::duration<double>(t).count();
 }
 
-void halo_fill_parallel(omp::ThreadTeam& team, core::Field3& f) {
+void halo_fill_parallel(omp::ThreadTeam& team, core::Field3& f, int dim) {
     const auto plan = core::HaloPlan::make(f.extents(), f.halo_width());
-    for (int d = 0; d < 3; ++d) {
+    const int first = dim < 0 ? 0 : dim;
+    const int last = dim < 0 ? 2 : dim;
+    for (int d = first; d <= last; ++d) {
         const auto& e = plan.dims[static_cast<std::size_t>(d)];
         // halo <- opposite boundary plane; both copies of a dimension are
         // independent, so fold them into one parallel loop over rows.
@@ -28,26 +30,34 @@ void halo_fill_parallel(omp::ThreadTeam& team, core::Field3& f) {
             static_cast<std::int64_t>(hi_ext.ny) * hi_ext.nz;
         // Offset from a halo point to its periodic source along dim d.
         const int n_d = f.extents()[d];
-        auto copy_rows_of = [&f, d](const core::Range3& dst_region, int shift,
-                                    std::int64_t lo, std::int64_t hi) {
+        // Doubles between neighbouring planes along d; a halo row's source
+        // row is n_d planes away.
+        const std::ptrdiff_t stride =
+            d == 0 ? 1 : (d == 1 ? f.x_stride() : f.xy_stride());
+        auto copy_rows_of = [&f, d, stride](const core::Range3& dst_region,
+                                            int shift, std::int64_t lo,
+                                            std::int64_t hi) {
             const auto ext = dst_region.extents();
-            const std::size_t row_bytes =
-                static_cast<std::size_t>(ext.nx) * sizeof(double);
+            const std::ptrdiff_t src = shift * stride;
+            // Decode the chunk's first row once, then step (j, k).
+            int j = dst_region.lo.j + static_cast<int>(lo % ext.ny);
+            int k = dst_region.lo.k + static_cast<int>(lo / ext.ny);
             for (std::int64_t r = lo; r < hi; ++r) {
-                const int j = dst_region.lo.j + static_cast<int>(r % ext.ny);
-                const int k = dst_region.lo.k + static_cast<int>(r / ext.ny);
+                double* row = f.ptr(dst_region.lo.i, j, k);
                 if (d == 0) {
                     // x faces are depth points per row, shifted along the
                     // contiguous dimension.
-                    for (int i = dst_region.lo.i; i < dst_region.hi.i; ++i)
-                        f(i, j, k) = f(i + shift, j, k);
+                    for (int i = 0; i < ext.nx; ++i) row[i] = row[i + src];
                 } else {
                     // y/z faces shift in j or k only, so source and
                     // destination rows are both x-contiguous: one memcpy.
-                    const int sj = d == 1 ? j + shift : j;
-                    const int sk = d == 2 ? k + shift : k;
-                    std::memcpy(f.ptr(dst_region.lo.i, j, k),
-                                f.ptr(dst_region.lo.i, sj, sk), row_bytes);
+                    std::memcpy(row, row + src,
+                                static_cast<std::size_t>(ext.nx) *
+                                    sizeof(double));
+                }
+                if (++j == dst_region.hi.j) {
+                    j = dst_region.lo.j;
+                    ++k;
                 }
             }
         };

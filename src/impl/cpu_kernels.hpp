@@ -3,8 +3,9 @@
 /// Thread-parallel building blocks shared by the CPU sides of all
 /// implementations: the periodic halo copy (paper Step 1), plus small
 /// utilities (timing, global assembly, result finishing). The stencil
-/// update (Step 2) and the new-to-current state copy (Step 3) run through
-/// PlanExecutor's one sweep dispatch (impl/plan_executor.hpp).
+/// update (Step 2) runs through PlanExecutor's one sweep dispatch, and the
+/// new-to-current state copy (Step 3) is the executor's O(1) flip of the
+/// field pair (impl/plan_executor.hpp).
 
 #include "core/field.hpp"
 #include "impl/config.hpp"
@@ -18,8 +19,13 @@ namespace advect::impl {
 
 /// Step 1 for the single-task case: periodic halo copies within one field,
 /// dimension-serialized, rows parallelised across the team (the paper
-/// parallelises the outer loops of the doubly nested copy loops).
-void halo_fill_parallel(advect::omp::ThreadTeam& team, core::Field3& f);
+/// parallelises the outer loops of the doubly nested copy loops). `dim`
+/// -1 fills all three stages, else only stage `dim` (the open-face plans'
+/// per-dimension HaloFill). Value-identical to core::fill_periodic_halo
+/// (_dim). The unfused periodic single_task executor runs it on its first
+/// step only; its sweep's row epilogue keeps the halo current after that.
+void halo_fill_parallel(advect::omp::ThreadTeam& team, core::Field3& f,
+                        int dim = -1);
 
 /// Write `local`'s interior into `global` at `origin`. Writes are disjoint
 /// across ranks, so concurrent assembly needs no locking.

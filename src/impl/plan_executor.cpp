@@ -7,7 +7,6 @@
 #include <span>
 
 #include "chaos/inject.hpp"
-#include "core/halo.hpp"
 #include "impl/cpu_kernels.hpp"
 #include "impl/device_field.hpp"
 #include "omp/parallel_for.hpp"
@@ -23,21 +22,6 @@ namespace {
 omp::Schedule to_omp(plan::Sched s) {
     return s == plan::Sched::Guided ? omp::Schedule::Guided
                                     : omp::Schedule::Static;
-}
-
-/// Manufactured-source add over rows [lo, hi) of a row space: the per-chunk
-/// companion of apply_stencil_rows. Appending Q to each written point after
-/// the stencil pass is bitwise-identical to adding it inside the row loop —
-/// each point's value is (stencil sum) + Q either way.
-void add_source_rows(core::Field3& f, const core::RowSpace& rows,
-                     std::int64_t lo, std::int64_t hi,
-                     const core::SourceField& sf, const core::Index3& origin,
-                     int level) {
-    rows.for_each_row(lo, hi, [&](const core::RowSpace::Row& r) {
-        core::add_source_plane(f.ptr(r.xlo, r.j, r.k), 0, r.xhi - r.xlo, 1,
-                               origin.i + r.xlo, origin.j + r.j,
-                               origin.k + r.k, level, sf);
-    });
 }
 
 /// Issue-order chain class of an op for the schedule shuffle: ops within a
@@ -162,6 +146,10 @@ PlanExecutor::PlanExecutor(const plan::StepPlan& plan, ExecContext ctx)
         }
         if (plan.mode == plan::Mode::TeamStages) stages_.push_back(i);
     }
+    if (plan.mode == plan::Mode::HostIssue && plan.fuse == 1)
+        for (const auto& t : plan.tasks)
+            if (t.op == plan::Op::HaloFill && t.payload.dim < 0)
+                wrap_halo_ = true;
     if (scratch_stride_ > 0) {
         const int workers = ctx_.team != nullptr ? ctx_.team->size() : 1;
         scratch_.resize(scratch_stride_ * static_cast<std::size_t>(workers));
@@ -348,26 +336,23 @@ std::int64_t PlanExecutor::units(std::size_t index) const {
 
 void PlanExecutor::sweep(std::size_t index, std::int64_t lo, std::int64_t hi,
                          int tid) {
-    const core::RowSpace& rows = rows_[index];
+    core::FusedSource fsrc;
+    if (has_source()) fsrc = {*ctx_.source, ctx_.origin, base_level()};
     const core::FusedSweepPlan& fp = fused_[index];
     if (fp.size() > 0) {
-        core::FusedSource fsrc;
-        if (has_source()) fsrc = {*ctx_.source, ctx_.origin, base_level()};
         for (std::int64_t ti = lo; ti < hi; ++ti)
             core::apply_fused_tile(*ctx_.coeffs, *ctx_.cur, *ctx_.nxt,
                                    fp.tiles()[static_cast<std::size_t>(ti)].out,
                                    fp.fuse(), scratch(tid), &fsrc);
         return;
     }
+    const core::RowSpace& rows = rows_[index];
     if (plan_->var_coeff)
         core::apply_stencil_var_rows(*ctx_.coeff_cache, *ctx_.cur, *ctx_.nxt,
-                                     rows, lo, hi);
+                                     rows, lo, hi, &fsrc, wrap_halo_);
     else
         core::apply_stencil_rows(*ctx_.coeffs, *ctx_.cur, *ctx_.nxt, rows, lo,
-                                 hi);
-    if (has_source())
-        add_source_rows(*ctx_.nxt, rows, lo, hi, *ctx_.source, ctx_.origin,
-                        base_level());
+                                 hi, &fsrc, wrap_halo_);
 }
 
 void PlanExecutor::run_task(const plan::Task& task, std::size_t index) {
@@ -399,11 +384,11 @@ void PlanExecutor::run_task(const plan::Task& task, std::size_t index) {
         case plan::Op::HaloFill:
             // dim >= 0 is the per-stage spelling emitted when open faces
             // interleave boundary overwrites between the stages; the copies
-            // are value-identical to the fused three-stage fill.
-            if (p.dim >= 0)
-                core::fill_periodic_halo_dim(*ctx_.cur, p.dim);
-            else
-                halo_fill_parallel(*ctx_.team, *ctx_.cur);
+            // are value-identical to the fused three-stage fill. In a
+            // wrap_halo_ plan only the first step's halo is stale: every
+            // later one was written by the previous step's row epilogue.
+            if (!wrap_halo_ || step_ == 0)
+                halo_fill_parallel(*ctx_.team, *ctx_.cur, p.dim);
             break;
         case plan::Op::BoundaryFill:
             if (p.dim >= 0) {

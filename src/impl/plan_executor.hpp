@@ -86,12 +86,16 @@ class PlanExecutor {
     /// The one sweep dispatch, which both execution modes drain: units
     /// [lo, hi) of Stencil task `index` on worker `tid`. A fused Stencil
     /// advances cache-sized tiles `fuse` steps through the worker's scratch
-    /// (docs/PERF.md "Temporal blocking"); an unfused one sweeps rows with
-    /// the variable or constant row kernel, then adds the manufactured
-    /// source to the same rows. Copy tasks never sweep: the paper's Step 3
-    /// runs as an O(1) flip of cur and nxt (Field3::swap), which is exact
-    /// because every host point outside the Copy regions is rewritten
-    /// before it is next read (plan::StepPlan::validate_error).
+    /// (docs/PERF.md "Temporal blocking"); an unfused one runs rows through
+    /// core::apply_stencil_rows or apply_stencil_var_rows, which finish
+    /// each row with the manufactured source and, in a wrap_halo_ plan,
+    /// its periodic images in nxt's halo (core::wrap_periodic_row), so
+    /// after the flip cur's whole halo is current and Step 1's HaloFill
+    /// has nothing left to do (docs/PERF.md "Step 1 is a row epilogue").
+    /// Copy tasks never sweep: the paper's Step 3 runs as an O(1) flip of
+    /// cur and nxt (Field3::swap), which is exact because every host point
+    /// outside the Copy regions is rewritten before it is next read
+    /// (plan::StepPlan::validate_error).
     void sweep(std::size_t index, std::int64_t lo, std::int64_t hi, int tid);
     /// Per-thread scratch slice for apply_fused_tile.
     [[nodiscard]] std::span<double> scratch(int thread_id);
@@ -127,6 +131,12 @@ class PlanExecutor {
     /// TeamStages: the Copy task, flipped by the rank thread after the
     /// parallel region joins (-1 when the plan has none).
     int copy_task_ = -1;
+    /// Step 1 as a row epilogue: set for an unfused HostIssue plan whose
+    /// HaloFill fills all three dimensions (periodic single_task, whose one
+    /// Stencil task writes the whole interior in whole rows). Its HaloFill
+    /// then runs on the first step only. Fused plans keep their fill once
+    /// per super-step.
+    bool wrap_halo_ = false;
     int step_ = 0;  ///< steps completed; the chaos injection coordinate
 };
 

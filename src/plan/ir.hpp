@@ -46,8 +46,14 @@ enum class Op {
     Wait,        ///< CPU-driven completion of one dim's messages (cpu+nic)
     Unpack,      ///< unpack both received faces of payload.dim (cpu)
     MasterExchange,  ///< §IV-D: the master thread's whole serial exchange
-    HaloFill,    ///< §IV-A: periodic halo copies within one field (cpu).
-                 ///< payload.dim selects one stage; -1 fills all three.
+    /// §IV-A Step 1: periodic halo copies within one field (cpu).
+    /// payload.dim selects one stage; -1 fills all three. At runtime an
+    /// unfused plan's -1 fill runs only on a stale halo (an executor's
+    /// first step): the sweep's row epilogue writes every later step's
+    /// images (docs/PERF.md "Step 1 is a row epilogue"). Fused plans fill
+    /// once per super-step. The DES lowering still prices the fill every
+    /// step, as the paper's code runs it.
+    HaloFill,
     BoundaryFill,  ///< open-boundary halo overwrite of payload.dim's open
                    ///< faces, staged after that dim's exchange/fill (cpu)
     Stencil,     ///< Equation 2 over payload.regions (cpu)

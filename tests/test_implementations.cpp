@@ -6,10 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
 
+#include "core/coeff_cache.hpp"
 #include "core/decomposition.hpp"
+#include "core/halo.hpp"
 #include "core/initial.hpp"
 #include "core/problem.hpp"
 #include "impl/exchange.hpp"
@@ -274,6 +279,84 @@ TEST(StepThree, TeamStagesFlipsTheFieldPair) {
     msg::run_ranks(1, [](msg::Communicator& comm) {
         expect_step_three_flips("mpi_thread_overlap", &comm);
     });
+}
+
+// ---------------------------------------------------------------------------
+// Step 1 is a row epilogue: the unfused periodic single_task sweep writes
+// every finished row's periodic images into nxt's halo, so after each flip
+// cur's whole halo is already current and HaloFill fills only the first
+// step's stale halo. Both fields' halos start as NaN: an image the epilogue
+// misses stays NaN.
+
+bool same_bits(double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// `halo` > 1 is the fuse-1 remainder plan of a fused solve, which steps
+/// fields whose halos are fuse deep.
+void expect_step_one_epilogue(const core::AdvectionProblem& problem,
+                              int halo, int threads) {
+    const auto n = problem.domain.extents();
+    const bool var = !problem.constant_coefficients();
+    const plan::StepPlan p =
+        plan::build_step_plan("single_task", {n, 1, /*fuse=*/1, 0, var});
+    const auto coeffs = problem.coeffs();
+    const core::SourceField sf = core::make_source_field(problem);
+    core::CoeffCache cache;
+    if (var) cache = core::CoeffCache(problem.coeff_field(), n, {0, 0, 0});
+    constexpr double kPoison = std::numeric_limits<double>::quiet_NaN();
+    core::Field3 cur(n, halo, kPoison);
+    core::Field3 nxt(n, halo, kPoison);
+    core::fill_initial(cur, problem.domain, problem.wave);
+    advect::omp::ThreadTeam team(threads);
+    int level = 0;
+
+    impl::ExecContext ctx;
+    ctx.coeffs = &coeffs;
+    ctx.cur = &cur;
+    ctx.nxt = &nxt;
+    ctx.team = &team;
+    ctx.source = &sf;
+    ctx.time_level = &level;
+    ctx.coeff_cache = &cache;
+    impl::PlanExecutor exec(p, ctx);
+
+    for (int step = 0; step < 3; ++step) {
+        exec.run_step();
+        ++level;
+        SCOPED_TRACE(::testing::Message()
+                     << "halo=" << halo << " threads=" << threads
+                     << " source=" << sf.active() << " var=" << var
+                     << " level=" << level);
+        ASSERT_TRUE(cur.interior_equals(core::run_reference(problem, level)));
+        core::Field3 want = cur;
+        core::fill_periodic_halo(want);
+        for (int k = -halo; k < n.nz + halo; ++k)
+            for (int j = -halo; j < n.ny + halo; ++j)
+                for (int i = -halo; i < n.nx + halo; ++i)
+                    ASSERT_TRUE(same_bits(cur(i, j, k), want(i, j, k)))
+                        << "(" << i << "," << j << "," << k << ")";
+    }
+}
+
+TEST(StepOne, EveryStepLeavesCurrentPeriodicImagesInCur) {
+    for (const int halo : {1, 3})
+        for (const int threads : {1, 3})
+            for (const bool source : {false, true}) {
+                auto problem = core::AdvectionProblem::standard(10);
+                if (source) problem.source.amp = 1.0;
+                expect_step_one_epilogue(problem, halo, threads);
+            }
+}
+
+TEST(StepOne, VariableCoefficientRowsWrapToo) {
+    // The rotating scenario is periodic, so its variable-coefficient rows
+    // take the same epilogue (var x fuse is rejected, so halo 1 only).
+    auto problem = core::AdvectionProblem::standard(10);
+    problem.scenario = core::scenario_by_name("rotating");
+    problem.nu = 0.5 / problem.velocity_field().max_abs();
+    for (const int threads : {1, 3})
+        expect_step_one_epilogue(problem, 1, threads);
 }
 
 // ---------------------------------------------------------------------------

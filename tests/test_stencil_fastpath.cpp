@@ -273,21 +273,30 @@ TEST(HaloFastPath, PackUnpackRoundTripAllFaces) {
 }
 
 TEST(HaloFastPath, HaloFillParallelMatchesSerialPeriodicFill) {
+    // dim -1 is the three-stage fill; 0..2 one stage alone, the open-face
+    // plans' per-dimension HaloFill, against fill_periodic_halo_dim.
     Rng rng(71);
     for (int threads : {1, 3}) {
         omp::ThreadTeam team(threads);
         for (int trial = 0; trial < 10; ++trial) {
             const auto n = random_extents(rng, 9);
-            core::Field3 f(n);
-            fill_random(f, rng);
-            core::Field3 want = f;
-            core::fill_periodic_halo(want);
-            impl::halo_fill_parallel(team, f);
-            for (int k = -1; k <= n.nz; ++k)
-                for (int j = -1; j <= n.ny; ++j)
-                    for (int i = -1; i <= n.nx; ++i)
-                        ASSERT_TRUE(same_bits(f(i, j, k), want(i, j, k)))
-                            << "(" << i << "," << j << "," << k << ")";
+            core::Field3 start(n);
+            fill_random(start, rng);
+            for (int dim = -1; dim < 3; ++dim) {
+                core::Field3 f = start;
+                core::Field3 want = start;
+                if (dim < 0)
+                    core::fill_periodic_halo(want);
+                else
+                    core::fill_periodic_halo_dim(want, dim);
+                impl::halo_fill_parallel(team, f, dim);
+                for (int k = -1; k <= n.nz; ++k)
+                    for (int j = -1; j <= n.ny; ++j)
+                        for (int i = -1; i <= n.nx; ++i)
+                            ASSERT_TRUE(same_bits(f(i, j, k), want(i, j, k)))
+                                << "dim " << dim << " (" << i << "," << j
+                                << "," << k << ")";
+            }
         }
     }
 }
