@@ -55,10 +55,8 @@ int main(int argc, char** argv) {
                 "wall (ms)", "== reference");
     bool all_match = true;
     for (const auto& entry : impl::registry()) {
-        auto c = cfg;
-        if (!entry.uses_mpi) c.ntasks = 1;
         try {
-            const auto r = impl::run_plan_solver(entry.id, c);
+            const auto r = impl::run_plan_solver(entry.id, cfg);
             const bool match = r.state.interior_equals(reference);
             all_match = all_match && match;
             std::printf("%-22s %-6s %10.2e %12.2f %14s\n", entry.id.c_str(),

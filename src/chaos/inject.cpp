@@ -82,14 +82,6 @@ std::size_t Session::count(FaultKind k) const {
     return n;
 }
 
-double Session::injected_seconds(int rank) const {
-    std::lock_guard lk(log_mu_);
-    double us = 0.0;
-    for (const auto& e : log_)
-        if (e.rank == rank) us += e.amount_us;
-    return us * 1e-6;
-}
-
 double Session::max_rank_injected_seconds() const {
     std::map<int, double> per_rank;
     {

@@ -71,8 +71,6 @@ class Session {
     [[nodiscard]] std::vector<FaultEvent> log() const;
     /// Fired events of one kind.
     [[nodiscard]] std::size_t count(FaultKind k) const;
-    /// Total injected delay charged to `rank`'s faults, in seconds.
-    [[nodiscard]] double injected_seconds(int rank) const;
     /// Largest per-rank injected total, in seconds (the straggler bound).
     [[nodiscard]] double max_rank_injected_seconds() const;
 

@@ -98,11 +98,6 @@ struct Scenario {
     }
     /// True when every face is periodic (no boundary-fill tasks at all).
     [[nodiscard]] bool periodic() const { return open_faces() == 0u; }
-    /// True when dimension `dim` wraps periodically.
-    [[nodiscard]] bool periodic_dim(int dim) const {
-        return faces[static_cast<std::size_t>(2 * dim)] ==
-               BoundaryKind::Periodic;
-    }
     /// Bitmask of non-periodic faces (bit f set iff faces[f] != Periodic).
     [[nodiscard]] unsigned open_faces() const;
 

@@ -57,7 +57,6 @@ class Engine {
     [[nodiscard]] const std::string& task_name(TaskId t) const {
         return tasks_[static_cast<std::size_t>(t)].name;
     }
-    [[nodiscard]] std::size_t task_count() const { return tasks_.size(); }
     /// Claims of one task (for exporters mapping tasks to resource lanes).
     [[nodiscard]] const std::vector<Claim>& task_claims(TaskId t) const {
         return tasks_[static_cast<std::size_t>(t)].claims;

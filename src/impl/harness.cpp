@@ -13,6 +13,7 @@
 #include "impl/exchange.hpp"
 #include "impl/gpu_task.hpp"
 #include "impl/plan_executor.hpp"
+#include "impl/registry.hpp"
 #include "plan/builders.hpp"
 
 namespace advect::impl {
@@ -72,115 +73,34 @@ struct ScenarioRuntime {
     }
 };
 
-/// §IV-A: single task, host state only.
-SolveResult run_single_host(const plan::StepPlan& plan,
-                            const SolverConfig& cfg) {
-    const auto& p = cfg.problem;
-    const auto coeffs = p.coeffs();
-    const auto n = p.domain.extents();
-
-    core::Field3 cur(n, plan.fuse);
-    core::Field3 nxt(n, plan.fuse);
-    core::fill_initial(cur, p.domain, p.wave);
-
-    omp::ThreadTeam team(cfg.threads_per_task);
-
-    const core::SourceField source = core::make_source_field(p);
-    const ScenarioRuntime scen(p, n, {0, 0, 0});
-    int level = 0;  // completed time steps, shared with the remainder plan
-
-    ExecContext ctx;
-    ctx.cfg = &cfg;
-    ctx.coeffs = &coeffs;
-    ctx.cur = &cur;
-    ctx.nxt = &nxt;
-    ctx.team = &team;
-    ctx.source = &source;
-    ctx.time_level = &level;
-    scen.wire(ctx, p);
-    PlanExecutor exec(plan, ctx);
-
-    const FusedSchedule sched = fused_schedule(plan, cfg.steps);
-    const auto rem_plan = remainder_plan(plan, cfg, sched, n);
-    std::optional<PlanExecutor> rem_exec;
-    if (rem_plan) rem_exec.emplace(*rem_plan, ctx);
-
-    const int fuse = plan.fuse < 1 ? 1 : plan.fuse;
-    const double t0 = now_seconds();
-    for (int s = 0; s < sched.supers; ++s) {
-        exec.run_step();
-        level += fuse;
-    }
-    for (int s = 0; s < sched.remainder; ++s) {
-        rem_exec->run_step();
-        ++level;
-    }
-    const double t1 = now_seconds();
-
-    return finish_result(cfg, std::move(cur), t1 - t0);
-}
-
-/// §IV-E: single device, problem resident in device memory; the initial
-/// upload and final download are not timed.
-SolveResult run_single_resident(const plan::StepPlan& plan,
-                                const SolverConfig& cfg) {
-    const auto& p = cfg.problem;
-    const auto n = p.domain.extents();
-
-    gpu::Device device(cfg.gpu_props);
-    upload_coefficients(device, p.coeffs());
-    std::vector<gpu::Stream> streams;
-    for (int k = 0; k < plan.streams; ++k)
-        streams.push_back(device.create_stream());
-
-    core::Field3 host(n, plan.fuse);
-    core::fill_initial(host, p.domain, p.wave);
-
-    DeviceField d_cur(device, n, plan.fuse);
-    DeviceField d_nxt(device, n, plan.fuse);
-    streams[0].memcpy_h2d(d_cur.buffer(), 0, host.raw());
-
-    const core::SourceField source = core::make_source_field(p);
-    const ScenarioRuntime scen(p, n, {0, 0, 0});
-    int level = 0;
-
-    ExecContext ctx;
-    ctx.cfg = &cfg;
-    ctx.device = &device;
-    ctx.streams = &streams;
-    ctx.d_cur = &d_cur;
-    ctx.d_nxt = &d_nxt;
-    ctx.source = &source;
-    ctx.time_level = &level;
-    scen.wire(ctx, p);
-    PlanExecutor exec(plan, ctx);
-
-    const FusedSchedule sched = fused_schedule(plan, cfg.steps);
-    const auto rem_plan = remainder_plan(plan, cfg, sched, n);
-    std::optional<PlanExecutor> rem_exec;
-    if (rem_plan) rem_exec.emplace(*rem_plan, ctx);
-
-    const int fuse = plan.fuse < 1 ? 1 : plan.fuse;
-    // "The CPU and GPU synchronize immediately before timer calls."
-    streams[0].synchronize();
-    const double t0 = now_seconds();
-    for (int s = 0; s < sched.supers; ++s) {
-        exec.run_step();
-        level += fuse;
-    }
-    for (int s = 0; s < sched.remainder; ++s) {
-        rem_exec->run_step();
-        ++level;
-    }
-    streams[0].synchronize();
-    const double t1 = now_seconds();
-
-    streams[0].memcpy_d2h(host.raw(), d_cur.buffer(), 0);
-    streams[0].synchronize();
-    return finish_result(cfg, std::move(host), t1 - t0);
-}
-
 }  // namespace
+
+PlanJob plan_job(const std::string& impl_id, const SolverConfig& cfg) {
+    const auto& p = cfg.problem;
+    const std::string scen_err = p.scenario.validate_error();
+    if (!scen_err.empty())
+        throw std::invalid_argument("invalid scenario: " + scen_err);
+    const bool var = !p.constant_coefficients();
+
+    PlanJob job;
+    job.decomp = core::make_decomposition(
+        p.domain.extents(),
+        find_implementation(impl_id).uses_mpi ? cfg.ntasks : 1);
+    const int nranks = job.decomp.nranks();
+    job.plans.reserve(static_cast<std::size_t>(nranks));
+    for (int r = 0; r < nranks; ++r) {
+        try {
+            job.plans.push_back(plan::build_step_plan(
+                impl_id,
+                {job.decomp.local_extents(r), cfg.box_thickness, cfg.fuse,
+                 core::local_open_faces(p.scenario, job.decomp, r), var}));
+        } catch (const plan::FuseGeometryError& e) {
+            throw plan::FuseGeometryError("rank " + std::to_string(r) + ": " +
+                                          e.what());
+        }
+    }
+    return job;
+}
 
 RankOutcome run_plan_rank(const plan::StepPlan& plan, const SolverConfig& cfg,
                           const core::Decomp3& decomp, msg::Communicator& comm,
@@ -191,17 +111,20 @@ RankOutcome run_plan_rank(const plan::StepPlan& plan, const SolverConfig& cfg,
     const auto origin = decomp.origin(rank);
     const auto coeffs = p.coeffs();
 
-    // §IV-F/G maintain only a host shell mirror (`cur`), no second host
-    // field; the CPU implementations keep the full cur/nxt pair. Halos (and
-    // the exchange below) are `plan.fuse` deep so one exchange feeds a whole
-    // fused super-step.
+    // `cur` carries the initial and the final state on every plan. The CPU
+    // implementations step it with a second host field `nxt`; §IV-E only
+    // uploads and downloads it, and §IV-F/G keep it as their host shell
+    // mirror, so neither needs `nxt`. Halos (and the exchange below) are
+    // `plan.fuse` deep so one exchange feeds a whole fused super-step.
     core::Field3 cur(n, plan.fuse);
     core::fill_initial(cur, p.domain, p.wave, origin);
     std::optional<core::Field3> nxt;
-    if (!plan.mirror_only) nxt.emplace(n, plan.fuse);
+    if (!plan.resident && !plan.mirror_only) nxt.emplace(n, plan.fuse);
 
-    omp::ThreadTeam team(cfg.threads_per_task);
-    HaloExchange exchange(decomp, rank, plan.fuse);
+    std::optional<omp::ThreadTeam> team;
+    if (!plan.resident) team.emplace(cfg.threads_per_task);
+    std::optional<HaloExchange> exchange;
+    if (plan.uses_comm) exchange.emplace(decomp, rank, plan.fuse);
 
     const core::SourceField source = core::make_source_field(p);
     const ScenarioRuntime scen(p, n, origin);
@@ -212,9 +135,9 @@ RankOutcome run_plan_rank(const plan::StepPlan& plan, const SolverConfig& cfg,
     ctx.coeffs = &coeffs;
     ctx.cur = &cur;
     ctx.nxt = nxt ? &*nxt : nullptr;
-    ctx.team = &team;
+    ctx.team = team ? &*team : nullptr;
     ctx.comm = &comm;
-    ctx.exchange = &exchange;
+    ctx.exchange = exchange ? &*exchange : nullptr;
     ctx.source = &source;
     ctx.origin = origin;
     ctx.time_level = &level;
@@ -234,7 +157,7 @@ RankOutcome run_plan_rank(const plan::StepPlan& plan, const SolverConfig& cfg,
             box.emplace(n, cfg.box_thickness, plan.fuse);
             staging.emplace(*device, box->gpu_halo_shell(),
                             box->block_boundary_shell());
-        } else {
+        } else if (plan.staging == plan::StagingKind::MpiHalo) {
             staging.emplace(*device, mpi_halo_regions(n, plan.fuse),
                             boundary_shell_regions(n, plan.fuse));
         }
@@ -245,7 +168,7 @@ RankOutcome run_plan_rank(const plan::StepPlan& plan, const SolverConfig& cfg,
         ctx.streams = &streams;
         ctx.d_cur = &*d_cur;
         ctx.d_nxt = &*d_nxt;
-        ctx.staging = &*staging;
+        ctx.staging = staging ? &*staging : nullptr;
     }
 
     PlanExecutor exec(plan, ctx);
@@ -266,6 +189,9 @@ RankOutcome run_plan_rank(const plan::StepPlan& plan, const SolverConfig& cfg,
         rem_exec->run_step();
         ++level;
     }
+    // "The CPU and GPU synchronize immediately before timer calls": a step
+    // may end in a host op with kernels still queued (§IV-E's Swap).
+    for (auto& s : streams) s.synchronize();
     comm.barrier();
     const double t1 = now_seconds();
     // Every rank computes the same reduced wall time.
@@ -292,59 +218,28 @@ RankOutcome run_plan_rank(const plan::StepPlan& plan, const SolverConfig& cfg,
 
 SolveResult run_plan_solver(const std::string& impl_id,
                             const SolverConfig& cfg) {
-    const auto& p = cfg.problem;
-
-    const std::string scen_err = p.scenario.validate_error();
-    if (!scen_err.empty())
-        throw std::invalid_argument("invalid scenario: " + scen_err);
-    const bool var = !p.constant_coefficients();
-
-    // The single-task implementations (§IV-A/E) ignore the decomposition:
-    // probe the plan on the full domain and run it directly.
-    const plan::StepPlan probe = plan::build_step_plan(
-        impl_id, {p.domain.extents(), cfg.box_thickness, cfg.fuse,
-                  p.scenario.open_faces(), var});
-    if (!probe.uses_comm)
-        return probe.resident ? run_single_resident(probe, cfg)
-                              : run_single_host(probe, cfg);
-
-    const auto decomp = core::make_decomposition(p.domain.extents(),
-                                                 cfg.ntasks);
-    // Build every rank's plan up front, on the calling thread: a geometry
-    // the builder rejects (e.g. a box_thickness leaving rank r with an empty
-    // GPU block, or a fuse factor whose deepened halo exceeds a rank's local
-    // box) must throw here, not on a rank thread while the other ranks sit
-    // in a barrier.
-    std::vector<plan::StepPlan> plans;
-    plans.reserve(static_cast<std::size_t>(decomp.nranks()));
-    for (int r = 0; r < decomp.nranks(); ++r) {
-        try {
-            plans.push_back(plan::build_step_plan(
-                impl_id,
-                {decomp.local_extents(r), cfg.box_thickness, cfg.fuse,
-                 core::local_open_faces(p.scenario, decomp, r), var}));
-        } catch (const plan::FuseGeometryError& e) {
-            throw plan::FuseGeometryError("rank " + std::to_string(r) + ": " +
-                                          e.what());
-        }
-    }
-
-    const auto coeffs = p.coeffs();
+    const PlanJob job = plan_job(impl_id, cfg);
+    const int nranks = job.decomp.nranks();
     std::optional<DevicePool> pool;
-    if (plans[0].uses_gpu)
-        pool.emplace(cfg.gpu_props, decomp.nranks(), cfg.tasks_per_gpu,
-                     coeffs);
+    if (job.plans[0].uses_gpu)
+        pool.emplace(cfg.gpu_props, nranks, cfg.tasks_per_gpu,
+                     cfg.problem.coeffs());
 
-    core::Field3 global(p.domain.extents());
+    // A one-rank job's state is the whole domain: move it, don't copy it.
+    core::Field3 global;
+    if (nranks > 1) global = core::Field3(cfg.problem.domain.extents());
     double wall = 0.0;
 
-    msg::run_ranks(decomp.nranks(), [&](msg::Communicator& comm) {
+    msg::run_ranks(nranks, [&](msg::Communicator& comm) {
         const int rank = comm.rank();
-        const plan::StepPlan& plan = plans[static_cast<std::size_t>(rank)];
+        const plan::StepPlan& plan = job.plans[static_cast<std::size_t>(rank)];
         gpu::Device* device =
             plan.uses_gpu ? &pool->device_for_rank(rank) : nullptr;
-        RankOutcome out = run_plan_rank(plan, cfg, decomp, comm, device);
-        write_block(global, out.state, decomp.origin(rank));
+        RankOutcome out = run_plan_rank(plan, cfg, job.decomp, comm, device);
+        if (nranks == 1)
+            global = std::move(out.state);
+        else
+            write_block(global, out.state, job.decomp.origin(rank));
         // Every rank holds the same reduced wall time; rank 0's write is
         // ordered before run_ranks returns, so no lock is needed.
         if (rank == 0) wall = out.wall_seconds;

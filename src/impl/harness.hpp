@@ -4,14 +4,17 @@
 /// in common — decomposition, rank loop, field and substrate setup, timing
 /// barriers, wall-clock reduction, final-state assembly — owned once. An
 /// implementation is nothing but its step plan (src/plan/build_<id>.cpp);
-/// run_plan_solver builds it and runs it through the PlanExecutor.
+/// plan_job lays a job out as one plan per rank and run_plan_rank, the one
+/// rank body, runs a plan through the PlanExecutor.
 ///
-/// The per-rank body is exposed as run_plan_rank so both rank substrates
-/// share it verbatim: run_plan_solver runs it on rank threads over the
+/// The implementations that use no communication (§IV-A/E) are one-rank
+/// jobs, so every implementation runs through the same timed loop on every
+/// substrate: run_plan_solver runs run_plan_rank on rank threads over the
 /// in-process transport, and the process launcher (impl/launch.hpp) runs it
 /// in rank processes over the mesh transport.
 
 #include <string>
+#include <vector>
 
 #include "core/decomposition.hpp"
 #include "core/field.hpp"
@@ -25,6 +28,26 @@ class Device;
 
 namespace advect::impl {
 
+/// A job laid out for its ranks: the decomposition (one rank for the
+/// implementations the registry marks uses_mpi == false) and every rank's
+/// validated step plan, indexed by rank.
+struct PlanJob {
+    core::Decomp3 decomp;
+    std::vector<plan::StepPlan> plans;
+};
+
+/// Lay out the job `cfg` asks of implementation `impl_id`: validate the
+/// scenario, decompose the domain and build every rank's plan on its local
+/// extents and open faces. Runs on the calling thread, before any rank
+/// starts, so a bad job throws here instead of stranding ranks in a
+/// barrier: std::invalid_argument for an invalid scenario or a geometry the
+/// builder rejects (e.g. a box_thickness leaving a rank no GPU block), and
+/// a plan::FuseGeometryError that names the rank for a fuse factor whose
+/// deepened halo exceeds a rank's local box. std::out_of_range for an
+/// unknown implementation.
+[[nodiscard]] PlanJob plan_job(const std::string& impl_id,
+                               const SolverConfig& cfg);
+
 /// What one rank's execution of a step plan produces: the rank's final local
 /// state (interior valid; halos unspecified) and the job wall time, which is
 /// the allreduce-max over ranks of each rank's barrier-to-barrier loop time
@@ -34,24 +57,24 @@ struct RankOutcome {
     double wall_seconds = 0.0;
 };
 
-/// Execute `plan` as rank `comm.rank()` of `decomp`: set up fields, halo
-/// exchange, and (when the plan uses the GPU) streams and staging on
-/// `device`, run `cfg.steps` steps through the PlanExecutor between timing
-/// barriers, and finalize the rank's state. `device` must be non-null iff
-/// `plan.uses_gpu`. Collective calls make this a collective: every rank of
-/// `decomp` must run it concurrently over the same transport.
+/// Execute `plan` as rank `comm.rank()` of `decomp`: set up what the plan
+/// declares (host fields, halo exchange, and, when the plan uses the GPU,
+/// streams, device fields and staging on `device`), run `cfg.steps` steps
+/// through the PlanExecutor between timing barriers, with every stream
+/// synchronized before the closing one, and finalize the rank's state.
+/// `device` must be non-null iff `plan.uses_gpu`. Collective calls make
+/// this a collective: every rank of `decomp` must run it concurrently over
+/// the same transport.
 [[nodiscard]] RankOutcome run_plan_rank(const plan::StepPlan& plan,
                                         const SolverConfig& cfg,
                                         const core::Decomp3& decomp,
                                         msg::Communicator& comm,
                                         gpu::Device* device);
 
-/// Solve `cfg` with implementation `impl_id` by building its step plan
-/// (plan::build_step_plan) on every rank's local extents and executing it.
-/// Wall-clock is the allreduce-max over ranks of each rank's barrier-to-
-/// barrier loop time. Geometry the plan builder rejects (e.g. a
-/// box_thickness leaving no GPU block) throws std::invalid_argument on the
-/// calling thread, before any rank thread starts.
+/// Solve `cfg` with implementation `impl_id`: lay the job out (plan_job,
+/// whose errors are thrown on the calling thread) and run every rank's plan
+/// on its own rank thread. Wall-clock is the allreduce-max over ranks of
+/// each rank's barrier-to-barrier loop time.
 [[nodiscard]] SolveResult run_plan_solver(const std::string& impl_id,
                                           const SolverConfig& cfg);
 

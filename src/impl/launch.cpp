@@ -8,14 +8,11 @@
 #include <utility>
 
 #include "chaos/inject.hpp"
-#include "core/decomposition.hpp"
 #include "impl/cpu_kernels.hpp"
 #include "impl/gpu_task.hpp"
 #include "impl/harness.hpp"
-#include "impl/registry.hpp"
 #include "msg/transport/process.hpp"
 #include "msg/transport/wire.hpp"
-#include "plan/builders.hpp"
 
 namespace advect::impl {
 
@@ -135,10 +132,9 @@ WorkerOutcome unmarshal_outcome(std::span<const std::uint8_t> bytes) {
     return out;
 }
 
-/// The in-process path: the classic run_plan_solver call with the launcher
-/// owning the recorder and the (single, shared) chaos session around it —
-/// the same sequence `advectctl chaos` has always run.
-LaunchReport launch_in_process(const Implementation& entry,
+/// The in-process path: run_plan_solver with the launcher owning the
+/// recorder and the (single, shared) chaos session around it.
+LaunchReport launch_in_process(const std::string& impl_id,
                                const SolverConfig& cfg,
                                const LaunchOptions& opts) {
     LaunchReport report;
@@ -147,13 +143,21 @@ LaunchReport launch_in_process(const Implementation& entry,
         trace::reset();
         trace::set_enabled(true);
     }
-    {
+    try {
         std::optional<chaos::Session> session;
         if (opts.fault_plan != nullptr) session.emplace(*opts.fault_plan);
-        report.result = run_plan_solver(entry.id, cfg);
+        report.result = run_plan_solver(impl_id, cfg);
         if (session) report.fault_log = session->log();
         // Session destruction joins chaos delivery threads, so every span
         // they record lands before the snapshot below.
+    } catch (...) {
+        // A failed solve must not leave the process-wide recorder on for
+        // whatever the caller runs next.
+        if (opts.trace) {
+            trace::set_enabled(false);
+            trace::reset();
+        }
+        throw;
     }
     if (opts.trace) {
         trace::set_enabled(false);
@@ -163,12 +167,12 @@ LaunchReport launch_in_process(const Implementation& entry,
     return report;
 }
 
-/// One worker process's body: run this rank, marshal the outcome. Runs with
-/// the worker's own recorder, chaos session and (if needed) device.
-std::vector<std::uint8_t> forked_worker(const Implementation& entry,
-                                        const SolverConfig& cfg,
+/// One worker process's body: run this rank's plan of the job the parent
+/// laid out, marshal the outcome. Runs with the worker's own recorder,
+/// chaos session and (if the plan needs one) device.
+std::vector<std::uint8_t> forked_worker(const SolverConfig& cfg,
                                         const LaunchOptions& opts,
-                                        const core::Decomp3* decomp,
+                                        const PlanJob& job,
                                         msg::Communicator& comm) {
     trace::set_enabled(false);
     trace::reset();
@@ -178,34 +182,14 @@ std::vector<std::uint8_t> forked_worker(const Implementation& entry,
     std::optional<chaos::Session> session;
     if (opts.fault_plan != nullptr) session.emplace(*opts.fault_plan);
 
-    core::Field3 state;
-    core::Index3 origin{0, 0, 0};
-    double wall = 0.0;
-    if (decomp == nullptr) {
-        // §IV-A/E: no communication; the worker is a one-process solve.
-        auto r = run_plan_solver(entry.id, cfg);
-        state = std::move(r.state);
-        wall = r.wall_seconds;
-    } else {
-        const plan::StepPlan plan = plan::build_step_plan(
-            entry.id,
-            {decomp->local_extents(comm.rank()), cfg.box_thickness, cfg.fuse,
-             core::local_open_faces(cfg.problem.scenario, *decomp,
-                                    comm.rank()),
-             !cfg.problem.constant_coefficients()});
-        std::optional<DevicePool> pool;
-        gpu::Device* device = nullptr;
-        if (plan.uses_gpu) {
-            // Simulated devices are per process: this rank gets its own
-            // (tasks_per_gpu sharing is an in-process-only feature).
-            pool.emplace(cfg.gpu_props, 1, 1, cfg.problem.coeffs());
-            device = &pool->device_for_rank(0);
-        }
-        RankOutcome out = run_plan_rank(plan, cfg, *decomp, comm, device);
-        state = std::move(out.state);
-        wall = out.wall_seconds;
-        origin = decomp->origin(comm.rank());
-    }
+    const int rank = comm.rank();
+    const plan::StepPlan& plan = job.plans[static_cast<std::size_t>(rank)];
+    // Simulated devices are per process: this rank gets its own
+    // (tasks_per_gpu sharing is an in-process-only feature).
+    std::optional<DevicePool> pool;
+    if (plan.uses_gpu) pool.emplace(cfg.gpu_props, 1, 1, cfg.problem.coeffs());
+    RankOutcome out = run_plan_rank(plan, cfg, job.decomp, comm,
+                                    pool ? &pool->device_for_rank(0) : nullptr);
 
     std::vector<chaos::FaultEvent> log;
     if (session) {
@@ -215,37 +199,22 @@ std::vector<std::uint8_t> forked_worker(const Implementation& entry,
     trace::set_enabled(false);
 
     wire::ByteWriter w;
-    marshal_outcome(w, state, origin, wall,
+    marshal_outcome(w, out.state, job.decomp.origin(rank), out.wall_seconds,
                     log, opts.trace ? trace::snapshot()
                                     : std::vector<trace::Span>{});
     return w.take();
 }
 
-/// The forked-worker path, shared by the socketpair and TCP meshes: the same
-/// per-rank body runs over the same MeshTransport either way; only how the
-/// launcher connects the mesh (inherited socketpairs vs host-list
-/// rendezvous) differs.
-LaunchReport launch_forked(const Implementation& entry,
+/// The forked-worker path, shared by the socketpair and TCP meshes: the
+/// parent lays the job out once (so a bad config throws here, not in a
+/// worker), and each worker runs its rank's plan over the same
+/// MeshTransport either way; only how the launcher connects the mesh
+/// (inherited socketpairs vs host-list rendezvous) differs.
+LaunchReport launch_forked(const std::string& impl_id,
                            const SolverConfig& cfg,
                            const LaunchOptions& opts) {
-    const auto& p = cfg.problem;
-    std::optional<core::Decomp3> decomp;
-    const bool var = !p.constant_coefficients();
-    const plan::StepPlan probe = plan::build_step_plan(
-        entry.id, {p.domain.extents(), cfg.box_thickness, cfg.fuse,
-                   p.scenario.open_faces(), var});
-    int nranks = 1;
-    if (probe.uses_comm) {
-        decomp = core::make_decomposition(p.domain.extents(), cfg.ntasks);
-        nranks = decomp->nranks();
-        // Validate every rank's geometry here, in the parent, so a bad
-        // config throws std::invalid_argument instead of a worker error.
-        for (int r = 0; r < nranks; ++r)
-            (void)plan::build_step_plan(
-                entry.id,
-                {decomp->local_extents(r), cfg.box_thickness, cfg.fuse,
-                 core::local_open_faces(p.scenario, *decomp, r), var});
-    }
+    const PlanJob job = plan_job(impl_id, cfg);
+    const int nranks = job.decomp.nranks();
 
     // Pin this process's recorder epoch before forking: worker spans arrive
     // as absolute monotonic times and are re-based below, so the report's
@@ -255,9 +224,8 @@ LaunchReport launch_forked(const Implementation& entry,
         trace::reset();
     }
 
-    const core::Decomp3* dp = decomp ? &*decomp : nullptr;
     const auto body = [&](msg::Communicator& comm) {
-        return forked_worker(entry, cfg, opts, dp, comm);
+        return forked_worker(cfg, opts, job, comm);
     };
     const auto payloads =
         opts.transport == TransportKind::Tcp
@@ -265,7 +233,7 @@ LaunchReport launch_forked(const Implementation& entry,
             : msg::run_process_ranks(nranks, body, opts.progress);
 
     LaunchReport report;
-    core::Field3 global(p.domain.extents());
+    core::Field3 global(cfg.problem.domain.extents());
     const double parent_epoch = trace::epoch_seconds();
     double wall = 0.0;
     for (int r = 0; r < nranks; ++r) {
@@ -312,12 +280,9 @@ TransportKind transport_from_name(const std::string& name) {
 LaunchReport launch_solver(const std::string& impl_id,
                            const SolverConfig& cfg,
                            const LaunchOptions& opts) {
-    const Implementation& entry = find_implementation(impl_id);
-    auto c = cfg;
-    if (!entry.uses_mpi) c.ntasks = 1;
     if (opts.transport != TransportKind::InProcess)
-        return launch_forked(entry, c, opts);
-    return launch_in_process(entry, c, opts);
+        return launch_forked(impl_id, cfg, opts);
+    return launch_in_process(impl_id, cfg, opts);
 }
 
 }  // namespace advect::impl

@@ -3,8 +3,9 @@
 /// One front door for running an implementation under either rank substrate
 /// (docs/TRANSPORT.md): ranks as threads over the in-process mailbox
 /// transport, or ranks as forked worker processes over the mesh transport,
-/// joined by inherited socketpairs or by TCP rendezvous. Either way the same
-/// per-rank body (impl::run_plan_rank) executes, and the launcher ships each
+/// joined by inherited socketpairs or by TCP rendezvous. Either way the job
+/// is laid out once (impl::plan_job) and the one rank body
+/// (impl::run_plan_rank) runs each rank's plan, and the launcher ships each
 /// worker's trace spans and chaos fault log back to the caller, so
 /// `advectctl trace`/`chaos` output is identical across transports.
 
@@ -57,14 +58,16 @@ struct LaunchReport {
 };
 
 /// Solve `cfg` with implementation `impl_id` over the chosen transport.
-/// On the forked transports the implementations that use no communication
-/// (§IV-A/E) run in a single worker process; the rest fork one worker per
-/// rank of the decomposition. Simulated GPUs live per process there, so
+/// The implementations that use no communication (§IV-A/E) are one-rank
+/// jobs on every transport: one rank thread in process, one worker process
+/// on the forked transports, which fork one worker per rank of the
+/// decomposition. Simulated GPUs live per process there, so
 /// `cfg.tasks_per_gpu > 1` sharing is an in-process-only feature; runs with
 /// the default of one task per GPU are bitwise identical across transports.
 ///
 /// The caller must not have trace recording enabled or a chaos session
-/// installed: the launcher owns both for the duration of the run.
+/// installed: the launcher owns both for the duration of the run and hands
+/// the recorder back switched off, whether the solve returns or throws.
 [[nodiscard]] LaunchReport launch_solver(const std::string& impl_id,
                                          const SolverConfig& cfg,
                                          const LaunchOptions& opts);

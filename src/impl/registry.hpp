@@ -16,6 +16,8 @@ struct Implementation {
     std::string id;             ///< short name, e.g. "mpi_nonblocking"
     std::string paper_section;  ///< e.g. "IV-C"
     std::string description;
+    /// False for §IV-A/E: plan_job lays them out as one-rank jobs,
+    /// whatever SolverConfig::ntasks says.
     bool uses_mpi = false;
     bool uses_gpu = false;
 };

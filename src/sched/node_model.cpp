@@ -1,6 +1,5 @@
 #include "sched/node_model.hpp"
 
-#include "des/trace_format.hpp"
 #include "sched/report.hpp"
 
 #include <algorithm>
@@ -124,11 +123,6 @@ class Builder {
         double mx = 0.0;
         for (const double v : injected_per_chain_) mx = std::max(mx, v);
         return mx;
-    }
-
-    /// Render the executed schedule (call after makespan()).
-    [[nodiscard]] std::string gantt(const des::GanttOptions& opt) const {
-        return des::render_gantt(eng_, opt);
     }
 
     /// Executed intervals as trace spans (call after makespan()). Each task
@@ -680,20 +674,6 @@ double model_gflops(Code impl, const RunConfig& cfg) {
     const double flops = static_cast<double>(cfg.n) * cfg.n * cfg.n *
                          core::kFlopsPerPoint;
     return flops / t / 1e9;
-}
-
-std::string render_step_gantt(Code impl, const RunConfig& cfg, int width) {
-    if (!config_valid(impl, cfg)) return "(configuration infeasible)\n";
-    try {
-        Builder b(impl, cfg, /*steps=*/2);
-        b.makespan();
-        des::GanttOptions opt;
-        opt.width = width;
-        opt.max_rows = 96;
-        return b.gantt(opt);
-    } catch (const std::invalid_argument& e) {
-        return std::string("(infeasible: ") + e.what() + ")\n";
-    }
 }
 
 std::vector<trace::Span> step_spans(Code impl, const RunConfig& cfg,

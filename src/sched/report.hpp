@@ -42,13 +42,6 @@ struct StepReport {
 [[nodiscard]] std::string format_report(Code impl, const RunConfig& cfg,
                                         const StepReport& report);
 
-/// ASCII Gantt of one modelled step (two steps are built; the second,
-/// steady-state one is rendered): which operations ran when, on which
-/// resources — the schedule made visible. Returns an explanatory line for
-/// infeasible configurations.
-[[nodiscard]] std::string render_step_gantt(Code impl, const RunConfig& cfg,
-                                            int width = 72);
-
 /// Bridge from the modelled schedule to the runtime trace format: build and
 /// run `steps` steps of the implementation's task graph and return its
 /// executed intervals as trace spans (category "des", lanes mapped from the

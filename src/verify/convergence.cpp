@@ -47,7 +47,7 @@ OrderStudy convergence_study(const std::string& impl_id, int fuse,
         // step count doubles.
         cfg.steps = params.coarse_steps * (n / n0);
         cfg.fuse = fuse;
-        cfg.ntasks = im.uses_mpi ? params.ntasks : 1;
+        cfg.ntasks = params.ntasks;
         cfg.threads_per_task = params.threads;
         // The CPU box of the hybrid implementations must be at least
         // fuse-deep (the fused shells live inside the walls).

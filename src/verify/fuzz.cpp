@@ -438,12 +438,10 @@ FuzzOutcome run_case(const FuzzCase& c) {
     return out;
 }
 
-namespace {
-
-FuzzSummary accumulate(std::span<const std::uint64_t> seeds, bool log) {
+FuzzSummary run_campaign(std::uint64_t first, int count, bool log) {
     FuzzSummary sum;
-    for (const std::uint64_t seed : seeds) {
-        const FuzzCase c = sample_case(seed);
+    for (int i = 0; i < count; ++i) {
+        const FuzzCase c = sample_case(first + static_cast<unsigned>(i));
         const FuzzOutcome out = run_case(c);
         ++sum.cases;
         sum.checks += out.checks;
@@ -464,19 +462,6 @@ FuzzSummary accumulate(std::span<const std::uint64_t> seeds, bool log) {
         std::printf("fuzz: %d cases, %d checks, %d skipped, %zu failing\n",
                     sum.cases, sum.checks, sum.skipped, sum.failures.size());
     return sum;
-}
-
-}  // namespace
-
-FuzzSummary run_campaign(std::uint64_t first, int count, bool log) {
-    std::vector<std::uint64_t> seeds(static_cast<std::size_t>(count));
-    for (int i = 0; i < count; ++i)
-        seeds[static_cast<std::size_t>(i)] = first + static_cast<unsigned>(i);
-    return accumulate(seeds, log);
-}
-
-FuzzSummary run_seeds(std::span<const std::uint64_t> seeds, bool log) {
-    return accumulate(seeds, log);
 }
 
 }  // namespace advect::verify

@@ -25,7 +25,6 @@
 /// from nothing but the printed line.
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -115,10 +114,5 @@ struct FuzzSummary {
 /// reproducer line to stdout.
 [[nodiscard]] FuzzSummary run_campaign(std::uint64_t first, int count,
                                        bool log = false);
-
-/// Run an explicit seed list (e.g. the committed corpus in
-/// tests/fuzz_corpus.txt).
-[[nodiscard]] FuzzSummary run_seeds(std::span<const std::uint64_t> seeds,
-                                    bool log = false);
 
 }  // namespace advect::verify

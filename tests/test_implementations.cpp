@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "core/coeff_cache.hpp"
@@ -17,6 +18,7 @@
 #include "core/halo.hpp"
 #include "core/initial.hpp"
 #include "core/problem.hpp"
+#include "core/scenario.hpp"
 #include "impl/exchange.hpp"
 #include "impl/harness.hpp"
 #include "impl/plan_executor.hpp"
@@ -126,9 +128,9 @@ impl::SolverConfig gpu_config(const GpuCase& c) {
 }
 
 TEST_P(GpuImpls, ResidentMatchesReference) {
-    const auto c = GetParam();
-    if (c.ntasks != 1) GTEST_SKIP() << "resident is single-task";
-    const auto cfg = gpu_config(c);
+    // §IV-E is a one-rank job whatever ntasks asks for: plan_job lays it out
+    // on one rank that owns a device of its own.
+    const auto cfg = gpu_config(GetParam());
     expect_matches_reference(cfg, impl::run_plan_solver("gpu_resident", cfg));
 }
 
@@ -234,6 +236,83 @@ TEST(Registry, EveryImplementationRunsAndMatchesReference) {
         EXPECT_TRUE(result.state.interior_equals(ref)) << entry.id;
         EXPECT_GT(result.wall_seconds, 0.0) << entry.id;
     }
+}
+
+// ---------------------------------------------------------------------------
+// Job layout: plan_job decomposes a job and builds every rank's plan once,
+// on the calling thread, so a bad job throws before any rank starts.
+
+TEST(PlanJob, ImplementationsWithoutMpiAreOneRankJobs) {
+    auto cfg = base_config(12, 2);
+    cfg.ntasks = 4;
+    cfg.block_x = 4;
+    cfg.block_y = 4;
+    cfg.box_thickness = 1;
+    for (const auto& entry : impl::registry()) {
+        const impl::PlanJob job = impl::plan_job(entry.id, cfg);
+        const int nranks = entry.uses_mpi ? cfg.ntasks : 1;
+        EXPECT_EQ(job.decomp.nranks(), nranks) << entry.id;
+        ASSERT_EQ(job.plans.size(), static_cast<std::size_t>(nranks))
+            << entry.id;
+        for (const auto& p : job.plans) {
+            EXPECT_EQ(p.impl_id, entry.id);
+            EXPECT_EQ(p.uses_comm, entry.uses_mpi) << entry.id;
+            EXPECT_EQ(p.uses_gpu, entry.uses_gpu) << entry.id;
+        }
+        // A one-rank job's only plan covers the whole domain.
+        if (!entry.uses_mpi) {
+            EXPECT_EQ(job.plans[0].local, cfg.problem.domain.extents())
+                << entry.id;
+        }
+    }
+}
+
+TEST(PlanJob, EachRankPlanCoversItsOwnBoxAndOpenFaces) {
+    auto cfg = base_config(12, 2);
+    cfg.problem.scenario = core::scenario_by_name("open-box");
+    cfg.ntasks = 2;  // 1x1x2: rank 0 owns the low z half, rank 1 the high
+    const impl::PlanJob job = impl::plan_job("mpi_nonblocking", cfg);
+    ASSERT_EQ(job.plans.size(), 2u);
+    const unsigned xy = (1u << core::kFaceXLo) | (1u << core::kFaceXHi) |
+                        (1u << core::kFaceYLo) | (1u << core::kFaceYHi);
+    EXPECT_EQ(job.plans[0].open_faces, xy | (1u << core::kFaceZLo));
+    EXPECT_EQ(job.plans[1].open_faces, xy | (1u << core::kFaceZHi));
+    for (int r = 0; r < 2; ++r) {
+        const auto& p = job.plans[static_cast<std::size_t>(r)];
+        EXPECT_EQ(p.local, job.decomp.local_extents(r)) << "rank " << r;
+        EXPECT_EQ(p.local.nz, 6) << "rank " << r;
+    }
+}
+
+TEST(PlanJob, InvalidScenarioThrowsBeforeAnyRankStarts) {
+    auto cfg = base_config(12, 2);
+    // An inflow face opposite a periodic one leaves dimension 1 unpaired.
+    cfg.problem.scenario.faces[core::kFaceYLo] = core::BoundaryKind::Inflow;
+    for (const char* id : {"single_task", "mpi_bulk", "gpu_resident"}) {
+        try {
+            (void)impl::plan_job(id, cfg);
+            FAIL() << id << ": expected std::invalid_argument";
+        } catch (const std::invalid_argument& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("invalid scenario"), std::string::npos)
+                << id << ": " << what;
+        }
+    }
+}
+
+TEST(PlanJob, FuseGeometryErrorNamesTheThinRank) {
+    auto cfg = base_config(7, 2);
+    cfg.ntasks = 2;  // 1x1x2: z extents 4 (rank 0) and 3 (rank 1)
+    cfg.fuse = 4;    // fits rank 0's box, not rank 1's
+    try {
+        (void)impl::plan_job("mpi_bulk", cfg);
+        FAIL() << "expected FuseGeometryError";
+    } catch (const plan::FuseGeometryError& e) {
+        const std::string what = e.what();
+        EXPECT_EQ(what.rfind("rank 1: ", 0), 0u) << what;
+    }
+    // The same job as a one-rank layout keeps the whole 7^3 box.
+    EXPECT_EQ(impl::plan_job("single_task", cfg).plans[0].fuse, 4);
 }
 
 // ---------------------------------------------------------------------------

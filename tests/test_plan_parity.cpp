@@ -64,10 +64,8 @@ std::vector<trace::Span> rank0_plan_spans(const impl::Implementation& entry) {
     trace::set_enabled(false);
 
     std::vector<trace::Span> out;
-    // Single-rank implementations (A, E) run outside msg ranks and stamp
-    // rank -1; MPI implementations stamp real ranks, keep rank 0's.
     for (const auto& s : trace::snapshot())
-        if (std::strcmp(s.category, "plan") == 0 && s.rank <= 0)
+        if (std::strcmp(s.category, "plan") == 0 && s.rank == 0)
             out.push_back(s);
     // One rank thread emits its spans with monotonically increasing end
     // times (§IV-D's master span starts mid-region, so sort by t1, not t0).

@@ -1,6 +1,6 @@
 // Additional sweep/staging coverage: GpuStaging with empty region lists,
 // box_choices sanity, multi-GPU node configurations in the model, and the
-// step-gantt renderer.
+// modelled price of the Step 3 copy.
 
 #include <gtest/gtest.h>
 
@@ -48,28 +48,6 @@ TEST(MultiGpuModel, MoreGpusNeverSlower) {
     const double gf2 = sched::best_series(sched::Code::I, two, nn)[0].gf;
     EXPECT_GE(gf2, gf1 * 0.999);
     EXPECT_GT(gf2, gf1 * 1.2) << "a second GPU should genuinely help";
-}
-
-TEST(StepGantt, RendersLabelledSchedule) {
-    sched::RunConfig cfg;
-    cfg.machine = model::MachineSpec::yona();
-    cfg.nodes = 1;
-    cfg.threads_per_task = 12;
-    const auto text = sched::render_step_gantt(sched::Code::G, cfg, 40);
-    // Tasks carry their step-plan names, so the modelled schedule reads
-    // like the executed one: the interior kernel, the halo upload, the
-    // per-dimension messages.
-    EXPECT_NE(text.find("interior"), std::string::npos);
-    EXPECT_NE(text.find("h2d"), std::string::npos);
-    EXPECT_NE(text.find("comm_x"), std::string::npos);
-    EXPECT_NE(text.find('#'), std::string::npos);
-}
-
-TEST(StepGantt, InfeasibleConfigExplains) {
-    sched::RunConfig cfg;
-    cfg.machine = model::MachineSpec::jaguarpf();  // no GPU
-    const auto text = sched::render_step_gantt(sched::Code::I, cfg);
-    EXPECT_NE(text.find("infeasible"), std::string::npos);
 }
 
 TEST(CopyBytesKnob, ZeroModelsBufferSwap) {

@@ -1,10 +1,12 @@
 // Tests for the transport seam (docs/TRANSPORT.md): wire framing, the
 // forked rank launchers over the {socketpair, tcp} x {thread, polled}
 // matrix, cross-transport parity for all nine implementations (bitwise
-// solutions, identical chaos fault logs, identical trace shapes), and the
-// collective deadline contract — a chaos drop inside a collective
-// terminates with CollectiveTimeoutError naming the stalled phase and rank
-// instead of hanging.
+// solutions, identical chaos fault logs, identical trace shapes), the
+// launcher's one job layout (typed errors in the caller, one-rank jobs as
+// rank 0, the timer rule in forked workers), and the collective deadline
+// contract — a chaos drop inside a collective terminates with
+// CollectiveTimeoutError naming the stalled phase and rank instead of
+// hanging.
 //
 // These tests fork; keep them out of any TSan job (thread sanitizers and
 // fork do not mix).
@@ -18,6 +20,7 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -28,11 +31,15 @@
 #include "chaos/scenario.hpp"
 #include "chaos/scenario_file.hpp"
 #include "core/problem.hpp"
+#include "core/scenario.hpp"
 #include "impl/launch.hpp"
 #include "impl/registry.hpp"
 #include "msg/comm.hpp"
 #include "msg/transport/process.hpp"
 #include "msg/transport/wire.hpp"
+#include "plan/ir.hpp"
+#include "trace/export.hpp"
+#include "trace/span.hpp"
 
 namespace chaos = advect::chaos;
 namespace core = advect::core;
@@ -314,18 +321,27 @@ TEST(Parity, ChaosSeedReplayLogsIdenticalAcrossTransports) {
     // Drop-and-retransmit and jitter through the mesh transport: the
     // recovered state and the merged fault log must match the in-process
     // run exactly, in both progress modes (retransmit requests travel as
-    // RETRANS frames the engine services).
+    // RETRANS frames the engine services). The one-rank implementations
+    // (§IV-A/E) run as rank 0 on every transport, so their rank-keyed draws
+    // (a straggler pinned to rank 0, device launch failures) fire alike.
     const auto cfg = small_config(14, 3);
-    const auto jitter = chaos::nic_jitter(150.0, 42);
-    const auto drops = chaos::message_drops(0.5, 11);
-    for (const auto* plan : {&jitter, &drops}) {
+    const struct {
+        const char* impl;
+        chaos::FaultPlan plan;
+    } inputs[] = {
+        {"mpi_nonblocking", chaos::nic_jitter(150.0, 42)},
+        {"mpi_nonblocking", chaos::message_drops(0.5, 11)},
+        {"single_task", chaos::straggler_ranks(1, 50.0, 7)},
+        {"gpu_resident", chaos::gpu_flaky(0.3, 7)},
+    };
+    for (const auto& in : inputs) {
+        SCOPED_TRACE(in.impl);
         impl::LaunchOptions inproc;
-        inproc.fault_plan = plan;
-        const auto a = impl::launch_solver("mpi_nonblocking", cfg, inproc);
+        inproc.fault_plan = &in.plan;
+        const auto a = impl::launch_solver(in.impl, cfg, inproc);
         ASSERT_GT(a.fault_log.size(), 0u);
         for (const ForkedCase& fc : kForked) {
-            const auto b =
-                impl::launch_solver("mpi_nonblocking", cfg, fc.options(inproc));
+            const auto b = impl::launch_solver(in.impl, cfg, fc.options(inproc));
             ASSERT_EQ(a.fault_log.size(), b.fault_log.size()) << fc.name();
             EXPECT_EQ(a.fault_log, b.fault_log)  // sorted by the launcher
                 << fc.name();
@@ -351,6 +367,109 @@ TEST(Parity, TraceShapeIdenticalAcrossTransports) {
         for (const auto& s : b.spans) {
             EXPECT_GE(s.t1, s.t0) << id;
             EXPECT_LT(s.t1, 120.0) << id;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// One layout, one rank body: the launcher lays a job out once in the caller
+// (impl::plan_job) and every transport runs the same rank body on it.
+
+TEST(Launch, BadJobsThrowTypedErrorsInTheCaller) {
+    // Both errors come from the layout, before any rank thread or worker
+    // process starts, so they surface with their own types on every
+    // transport instead of as a worker failure.
+    auto bad_scenario = small_config();
+    bad_scenario.problem.scenario.faces[core::kFaceXHi] =
+        core::BoundaryKind::Outflow;  // x-low is still periodic
+    auto thin = small_config(7, 2);
+    thin.ntasks = 2;  // 1x1x2: z extents 4 (rank 0) and 3 (rank 1)
+    thin.fuse = 4;
+    std::vector<impl::LaunchOptions> all = {impl::LaunchOptions{}};
+    for (const ForkedCase& fc : kForked) all.push_back(fc.options());
+    for (const auto& opts : all) {
+        const char* name = impl::transport_name(opts.transport);
+        try {
+            (void)impl::launch_solver("mpi_bulk", bad_scenario, opts);
+            FAIL() << name << ": expected std::invalid_argument";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("invalid scenario"),
+                      std::string::npos)
+                << name << ": " << e.what();
+        }
+        try {
+            (void)impl::launch_solver("mpi_bulk", thin, opts);
+            FAIL() << name << ": expected FuseGeometryError";
+        } catch (const advect::plan::FuseGeometryError& e) {
+            EXPECT_EQ(std::string(e.what()).rfind("rank 1: ", 0), 0u)
+                << name << ": " << e.what();
+        }
+    }
+}
+
+TEST(Launch, OneRankJobsRunAsRankZeroOnEveryTransport) {
+    // §IV-A/E ignore the task count: one rank thread in process, one worker
+    // process when forked. Every plan task and every device operation the
+    // rank body issues is rank 0's.
+    namespace trace = advect::trace;
+    const auto cfg = small_config();  // asks for 4 tasks
+    for (const char* id : {"single_task", "gpu_resident"}) {
+        impl::LaunchOptions inproc;
+        inproc.trace = true;
+        std::vector<impl::LaunchOptions> all = {inproc};
+        for (const ForkedCase& fc : kForked) all.push_back(fc.options(inproc));
+        for (const auto& opts : all) {
+            const auto report = impl::launch_solver(id, cfg, opts);
+            const char* name = impl::transport_name(opts.transport);
+            std::size_t checked = 0;
+            for (const auto& s : report.spans) {
+                if (std::string(s.category) != "plan" &&
+                    s.lane != trace::Lane::Gpu && s.lane != trace::Lane::Pcie)
+                    continue;
+                ++checked;
+                EXPECT_EQ(s.rank, 0)
+                    << id << " over " << name << ": span " << s.name;
+            }
+            EXPECT_GT(checked, 0u) << id << " over " << name;
+        }
+    }
+}
+
+TEST(Launch, FailedSolveLeavesTheRecorderOff) {
+    // The launcher owns the process-wide recorder for a traced run; a solve
+    // that throws must hand it back switched off, as a finished one does.
+    auto cfg = small_config(3, 2);
+    cfg.fuse = 4;  // a 3^3 box cannot hold a 4-deep halo
+    impl::LaunchOptions inproc;
+    inproc.trace = true;
+    impl::LaunchOptions socket = inproc;
+    socket.transport = impl::TransportKind::Socket;
+    for (const auto& opts : {inproc, socket}) {
+        EXPECT_THROW((void)impl::launch_solver("single_task", cfg, opts),
+                     advect::plan::FuseGeometryError);
+        EXPECT_FALSE(advect::trace::enabled())
+            << impl::transport_name(opts.transport);
+    }
+}
+
+TEST(Launch, ForkedDeviceWorkEndsBeforeTheClosingTimer) {
+    // The timer rule on the forked path: each worker runs the same rank
+    // body, so the union of a rank's device spans, shipped back and
+    // rebased onto the caller's timeline, fits in the job's wall time.
+    const auto cfg = small_config(12, 3);
+    impl::LaunchOptions opts;
+    opts.trace = true;
+    opts.transport = impl::TransportKind::Socket;
+    for (const char* id : {"gpu_resident", "gpu_mpi_streams"}) {
+        const auto report = impl::launch_solver(id, cfg, opts);
+        const int nranks =
+            impl::find_implementation(id).uses_mpi ? cfg.ntasks : 1;
+        for (int rank = 0; rank < nranks; ++rank) {
+            const double busy = advect::trace::summarize_rank(report.spans, rank)
+                                    .busy_of(advect::trace::Lane::Gpu);
+            EXPECT_GT(busy, 0.0) << id << ", rank " << rank;
+            EXPECT_LE(busy, report.result.wall_seconds)
+                << id << ", rank " << rank;
         }
     }
 }

@@ -61,13 +61,11 @@
 #include "chaos/report.hpp"
 #include "chaos/scenario.hpp"
 #include "chaos/scenario_file.hpp"
-#include "core/decomposition.hpp"
 #include "core/scenario.hpp"
 #include "impl/harness.hpp"
 #include "impl/launch.hpp"
 #include "impl/registry.hpp"
 #include "chaos/gameday.hpp"
-#include "plan/builders.hpp"
 #include "sched/report.hpp"
 #include "service/client.hpp"
 #include "service/gameday.hpp"
@@ -119,7 +117,6 @@ int cmd_solve(int argc, char** argv) {
     cfg.block_y = 4;
 
     const auto& entry = impl::find_implementation(id);
-    if (!entry.uses_mpi) cfg.ntasks = 1;
     std::printf("solving %d^3 x %d steps with %s (%s)...\n",
                 cfg.problem.domain.n, cfg.steps, entry.id.c_str(),
                 entry.paper_section.c_str());
@@ -147,7 +144,6 @@ int cmd_trace(int argc, char** argv) {
         argc > 5 ? argv[5] : (id + ".trace.json");
 
     const auto& entry = impl::find_implementation(id);
-    if (!entry.uses_mpi) cfg.ntasks = 1;
     std::printf("tracing %d^3 x %d steps of %s (%s)...\n",
                 cfg.problem.domain.n, cfg.steps, entry.id.c_str(),
                 entry.paper_section.c_str());
@@ -232,7 +228,6 @@ int cmd_chaos(int argc, char** argv) {
                                       : chaos::scenario_by_name(scenario, x,
                                                                 seed);
     const auto& entry = impl::find_implementation(id);
-    if (!entry.uses_mpi) cfg.ntasks = 1;
     if (from_file)
         std::printf("chaos file '%s' (%zu rules, seed=%llu) on %d^3 x %d "
                     "steps of %s (%s)...\n",
@@ -421,13 +416,13 @@ int cmd_plan(int argc, char** argv) {
     const int tasks = argc > 2 ? std::atoi(argv[2]) : 4;
     const int box = argc > 3 ? std::atoi(argv[3]) : 2;
 
-    // Single-task plans (A, E) cover the whole domain; the rest get the
-    // representative rank-0 subdomain of the requested decomposition.
-    plan::StepPlan p = plan::build_step_plan(id, {{n, n, n}, box});
-    if (p.uses_comm) {
-        const auto decomp = core::make_decomposition({n, n, n}, tasks);
-        p = plan::build_step_plan(id, {decomp.local_extents(0), box});
-    }
+    // The representative rank-0 plan: the whole domain for the one-rank
+    // jobs (A, E), a subdomain of the requested decomposition otherwise.
+    impl::SolverConfig cfg;
+    cfg.problem = core::AdvectionProblem::standard(n);
+    cfg.ntasks = tasks;
+    cfg.box_thickness = box;
+    const plan::StepPlan p = impl::plan_job(id, cfg).plans[0];
 
     std::printf("%s: one step of a %d^3 run%s (%zu tasks, %s)\n",
                 p.impl_id.c_str(), n,
@@ -536,21 +531,6 @@ int cmd_scaling(int argc, char** argv) {
     return 0;
 }
 
-int cmd_gantt(int argc, char** argv) {
-    sched::RunConfig cfg;
-    cfg.machine = machine_by_name(argc > 0 ? argv[0] : "yona");
-    const auto code =
-        sched::code_from_id(argc > 1 ? argv[1] : "cpu_gpu_overlap");
-    cfg.nodes = argc > 2 ? std::atoi(argv[2]) : 1;
-    cfg.threads_per_task = argc > 3 ? std::atoi(argv[3])
-                                    : cfg.machine.cores_per_node();
-    std::printf("%s on %s, %d node(s): two modelled steps\n",
-                sched::code_label(code).c_str(), cfg.machine.name.c_str(),
-                cfg.nodes);
-    std::fputs(sched::render_step_gantt(code, cfg).c_str(), stdout);
-    return 0;
-}
-
 int cmd_machines() {
     for (const auto& m :
          {model::MachineSpec::jaguarpf(), model::MachineSpec::hopper2(),
@@ -597,7 +577,7 @@ int cmd_verify_norms(int argc, char** argv) {
     cfg.problem = advect::verify::mms_problem(n);
     cfg.steps = steps;
     cfg.fuse = fuse;
-    cfg.ntasks = impl::find_implementation(id).uses_mpi ? 2 : 1;
+    cfg.ntasks = 2;
     cfg.threads_per_task = 2;
     const auto r = impl::run_plan_solver(id, cfg);
     std::printf(
@@ -855,7 +835,7 @@ int cmd_gameday(int argc, char** argv) {
 void usage() {
     std::fprintf(stderr,
                  "usage: advectctl <solve|trace|chaos|launch|plan|model|tune|"
-                 "scaling|gantt|verify|machines|impls|scenarios|submit|"
+                 "scaling|verify|machines|impls|scenarios|submit|"
                  "status|drain|gameday> [args...]\n"
                  "  solve   [impl] [n] [steps] [tasks] [threads]\n"
                  "  trace   [impl] [n] [steps] [tasks] [threads] [out.json]\n"
@@ -875,7 +855,6 @@ void usage() {
                  "  model   [machine] [impl] [nodes] [threads] [box]\n"
                  "  tune    [machine] [nodes]\n"
                  "  scaling [machine] [impl]\n"
-                 "  gantt   [machine] [impl] [nodes] [threads]\n"
                  "  verify  <norms|order|fuzz|schedule> [args...]\n"
                  "  submit  [--socket p] [--spec job.json | [impl] [n]"
                  " [steps] [threads]]\n"
@@ -916,7 +895,6 @@ int main(int argc, char** argv) {
         if (cmd == "model") return cmd_model(argc - 2, argv + 2);
         if (cmd == "tune") return cmd_tune(argc - 2, argv + 2);
         if (cmd == "scaling") return cmd_scaling(argc - 2, argv + 2);
-        if (cmd == "gantt") return cmd_gantt(argc - 2, argv + 2);
         if (cmd == "verify") return cmd_verify(argc - 2, argv + 2);
         if (cmd == "machines") return cmd_machines();
         if (cmd == "impls") return cmd_impls();
