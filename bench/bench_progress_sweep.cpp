@@ -10,14 +10,15 @@
 //
 //  * runtime — B vs C over the real TCP transport (forked rank processes,
 //    localhost mesh) under a seeded message-drop scenario, with the engine
-//    threaded vs polled. Drop recovery is where asynchronous progress earns
-//    its keep at this scale: a RETRANS frame reaching a computing rank is
-//    serviced immediately by the engine thread, but sits unread until the
-//    next wait when polled. This host cannot reproduce the paper's
-//    compute/comm overlap itself (every rank shares one core), so the
-//    runtime check is directional — at the high-rank end, C's gap against B
-//    must not get *worse* when the engine turns on — while the model check
-//    pins the full crossover.
+//    threaded vs polled. Either way a rank reads its own sockets only while
+//    it waits, so a RETRANS frame reaching a computing rank sits unread
+//    until that rank's next wait; what the engine thread adds is flushing
+//    queued sends (retransmitted ones included) while the rank computes,
+//    where polled they move only inside the sender's waits. This host
+//    cannot reproduce the paper's compute/comm overlap itself (every rank
+//    shares one core), so the runtime check is directional — at the
+//    high-rank end, C's gap against B must not get *worse* when the engine
+//    turns on — while the model check pins the full crossover.
 //
 // `--json` prints both sweeps as a JSON document; the recorded entry in
 // BENCH_kernels.json (key "progress_sweep") is produced from it.

@@ -12,6 +12,11 @@ namespace advect::core::json {
 
 namespace {
 
+/// Deepest array/object nesting parse() accepts. The parser recurses once
+/// per level, so without a bound one hostile document (an advectd submit
+/// frame of 40 000 '[') overflows the stack.
+constexpr int kMaxDepth = 64;
+
 class Parser {
   public:
     Parser(const std::string& text, const std::string& origin)
@@ -53,8 +58,8 @@ class Parser {
 
     Value value() {
         switch (peek()) {
-            case '{': return object();
-            case '[': return array();
+            case '{': return nested(&Parser::object);
+            case '[': return nested(&Parser::array);
             case '"': {
                 Value v;
                 v.kind = Value::Kind::String;
@@ -69,6 +74,16 @@ class Parser {
             }
             default: return number();
         }
+    }
+
+    Value nested(Value (Parser::*parse)()) {
+        if (depth_ == kMaxDepth)
+            fail("nesting deeper than " + std::to_string(kMaxDepth) +
+                 " levels");
+        ++depth_;
+        Value v = (this->*parse)();
+        --depth_;
+        return v;
     }
 
     Value object() {
@@ -181,6 +196,7 @@ class Parser {
     const std::string& s_;
     const std::string& origin_;
     std::size_t pos_ = 0;
+    int depth_ = 0;
 };
 
 void escape_into(std::ostringstream& os, const std::string& s) {

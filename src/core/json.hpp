@@ -52,7 +52,8 @@ struct Value {
 
 /// Parse a complete JSON document. `origin` names the source in error
 /// messages (a file path, or e.g. "<inline>"); errors are
-/// std::invalid_argument carrying "origin:line: what".
+/// std::invalid_argument carrying "origin:line: what". Arrays and objects
+/// nest at most 64 levels deep.
 [[nodiscard]] Value parse(const std::string& text,
                           const std::string& origin = "<json>");
 

@@ -1,7 +1,8 @@
 #include "msg/mailbox.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <cstring>
+#include <optional>
 #include <stdexcept>
 
 #include "trace/span.hpp"
@@ -9,8 +10,15 @@
 namespace advect::msg {
 
 void Mailbox::deliver(int src, int tag, std::span<const double> data) {
+    deliver_bytes(src, tag,
+                  {reinterpret_cast<const std::uint8_t*>(data.data()),
+                   data.size_bytes()});
+}
+
+void Mailbox::deliver_bytes(int src, int tag,
+                            std::span<const std::uint8_t> payload) {
+    const std::size_t count = payload.size() / sizeof(double);
     std::shared_ptr<detail::RequestState> to_complete;
-    std::size_t delivered = 0;
     {
         std::lock_guard lock(mu_);
         // Earliest matching posted receive wins (non-overtaking: posted_ is
@@ -20,19 +28,21 @@ void Mailbox::deliver(int src, int tag, std::span<const double> data) {
                                    return matches(p.src, p.tag, src, tag);
                                });
         if (it != posted_.end()) {
-            if (it->out.size() < data.size())
+            if (it->out.size() < count)
                 throw std::length_error(
                     "msg: receive buffer smaller than message");
-            std::copy(data.begin(), data.end(), it->out.begin());
+            if (count > 0)
+                std::memcpy(it->out.data(), payload.data(), payload.size());
             to_complete = std::move(it->state);
-            delivered = data.size();
             posted_.erase(it);
         } else {
-            arrived_.push_back(
-                Arrived{src, tag, std::vector<double>(data.begin(), data.end())});
+            auto copy = std::make_unique_for_overwrite<double[]>(count);
+            if (count > 0)
+                std::memcpy(copy.get(), payload.data(), payload.size());
+            arrived_.push_back(Arrived{src, tag, count, std::move(copy)});
         }
     }
-    if (to_complete) to_complete->complete(delivered);
+    if (to_complete) to_complete->complete(count);
 }
 
 Request Mailbox::post_receive(int src, int tag, std::span<double> out) {
@@ -41,8 +51,7 @@ Request Mailbox::post_receive(int src, int tag, std::span<double> out) {
         state->trace_t0 = trace::now();
         state->trace_rank = trace::current_rank();
     }
-    std::vector<double> payload;  // move matched payload out of the lock
-    bool matched = false;
+    std::optional<Arrived> matched;  // moved out of the lock
     bool dead = false;
     std::string dead_reason;
     {
@@ -53,9 +62,8 @@ Request Mailbox::post_receive(int src, int tag, std::span<double> out) {
                                    return matches(src, tag, m.src, m.tag);
                                });
         if (it != arrived_.end()) {
-            payload = std::move(it->payload);
+            matched = std::move(*it);
             arrived_.erase(it);
-            matched = true;
         } else if (src != kAnySource && dead_.contains(src)) {
             // The named source is gone and nothing it sent remains queued:
             // this receive can never complete. Fail it now, not at wait().
@@ -70,10 +78,10 @@ Request Mailbox::post_receive(int src, int tag, std::span<double> out) {
         return Request(state);
     }
     if (matched) {
-        if (out.size() < payload.size())
+        if (out.size() < matched->count)
             throw std::length_error("msg: receive buffer smaller than message");
-        std::copy(payload.begin(), payload.end(), out.begin());
-        state->complete(payload.size());
+        std::copy_n(matched->payload.get(), matched->count, out.begin());
+        state->complete(matched->count);
     }
     return Request(state);
 }

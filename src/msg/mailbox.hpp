@@ -6,12 +6,13 @@
 /// from the requested source (wildcards supported), and messages between a
 /// given (source, destination) pair with the same tag are non-overtaking.
 
+#include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "msg/request.hpp"
 
@@ -36,6 +37,11 @@ class Mailbox {
     /// Returns once the payload has been captured (buffered-send semantics:
     /// the sender's buffer is immediately reusable).
     void deliver(int src, int tag, std::span<const double> data);
+    /// deliver() for doubles held as raw bytes at any alignment
+    /// (`payload.size()` a multiple of 8): the mesh transport copies a DATA
+    /// frame's payload from its read buffer straight into the matched
+    /// receive.
+    void deliver_bytes(int src, int tag, std::span<const std::uint8_t> payload);
 
     /// Post a receive into `out` for a message from `src` (or kAnySource)
     /// with `tag` (or kAnyTag). If a queued message already matches it is
@@ -57,16 +63,18 @@ class Mailbox {
     /// a peer that finished cleanly has nothing pending against it.
     void fail_source(int src, const std::string& reason);
 
-    /// Install the polled-transport pump stamped into every posted receive
-    /// (see ProgressPump in request.hpp). Call once, before any traffic;
-    /// null (the default) means a thread completes requests instead.
+    /// Install the transport pump stamped into every posted receive (see
+    /// ProgressPump in request.hpp). Call once, before any traffic; null
+    /// (the default, in process) means the sender's thread completes
+    /// requests instead.
     void set_pump(ProgressPump* pump);
 
   private:
     struct Arrived {
         int src;
         int tag;
-        std::vector<double> payload;
+        std::size_t count;
+        std::unique_ptr<double[]> payload;
     };
     struct Posted {
         int src;

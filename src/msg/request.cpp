@@ -9,7 +9,7 @@ namespace advect::msg {
 
 namespace {
 
-/// One pump slice while a polled-transport wait blocks: short enough that a
+/// One pump slice while a pumped wait blocks: short enough that a
 /// completion by another thread (a chaos self-send) is noticed promptly,
 /// long enough that the poll() syscall dominates over the loop around it.
 constexpr double kPumpSliceSeconds = 0.01;
@@ -81,8 +81,8 @@ void Request::wait() {
             return;
         }
     }
-    // Polled transport: nothing moves bytes but us. Alternate engine passes
-    // with completion checks.
+    // The waiting rank reads its own sockets: alternate engine passes with
+    // completion checks.
     for (;;) {
         pump->pump(kPumpSliceSeconds);
         std::lock_guard lock(state_->mu);

@@ -90,12 +90,12 @@ class TransportError : public std::runtime_error {
     int rank_;
 };
 
-/// A transport's "advance my sockets" hook. Polled transports (the mesh
-/// transport with the progress engine off) have no thread of their own: the
-/// bytes only move when some rank-side call pumps. Mailbox stamps the
+/// A transport's "advance my sockets" hook. The mesh transport's bytes only
+/// reach the mailbox when a rank-side call pumps: in either progress mode
+/// the waiting rank reads its own sockets (mesh.hpp). Mailbox stamps the
 /// transport's pump into every posted receive, and Request's wait paths
 /// alternate pump slices with completion checks instead of sleeping on the
-/// condition variable (mesh.hpp).
+/// condition variable.
 class ProgressPump {
   public:
     virtual ~ProgressPump() = default;
@@ -118,14 +118,14 @@ struct RequestState {
     /// Set instead of a payload when the operation can never complete (peer
     /// disconnect): done becomes true and each wait path throws a fresh
     /// TransportError built from these fields. Stored as plain data — not a
-    /// shared exception object — so the failing thread (the progress engine)
-    /// and the waiting thread never share an exception whose libstdc++
-    /// refcounts are invisible to TSan.
+    /// shared exception object — so the failing thread (another waiter's
+    /// pump, the progress engine) and the waiting thread never share an
+    /// exception whose libstdc++ refcounts are invisible to TSan.
     bool failed = false;
     int fail_rank = -1;
     std::string fail_reason;
-    /// Polled-transport hook stamped by Mailbox::post_receive; null on
-    /// threaded transports (their engine completes requests on its own).
+    /// Transport hook stamped by Mailbox::post_receive; null in process,
+    /// where the sending rank's thread completes requests.
     ProgressPump* pump = nullptr;
 
     /// Trace context stamped at post time (receives only): the span covering
@@ -157,7 +157,8 @@ class Request {
     /// throws TimeoutError (index 0) on expiry, leaving the request pending
     /// and re-waitable. Rethrows the completion error on failure.
     void wait(double timeout_seconds);
-    /// Nonblocking completion poll (pumps once on a polled transport).
+    /// Nonblocking completion poll (one nonblocking pump pass when the
+    /// transport has a pump).
     /// Throws the completion error if the operation failed.
     [[nodiscard]] bool test() const;
     /// Number of doubles delivered; valid after completion of a receive.

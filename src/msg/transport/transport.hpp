@@ -11,8 +11,8 @@
 ///  * MeshTransport (mesh.hpp) — ranks are processes connected by a full
 ///    mesh of stream sockets, either inherited socketpairs or a TCP
 ///    rendezvous (tcp.hpp); deliver() sends a length-prefixed,
-///    sequence-numbered frame (wire.hpp) and a progress engine, on its own
-///    thread or pumped by waits, feeds the local mailbox.
+///    sequence-numbered frame (wire.hpp), and the waiting rank's own pump
+///    reads its sockets into the local mailbox.
 ///
 /// Semantics every transport must preserve (and the tests in
 /// tests/test_transport.cpp verify): buffered sends (deliver returns once

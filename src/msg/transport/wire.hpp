@@ -14,7 +14,10 @@
 /// ticketed-FIFO semantics are built on.
 ///
 /// ByteWriter/ByteReader are the (same-endianness) serializers used for
-/// frame payloads and for the launcher's result marshalling (impl/launch).
+/// control payloads: the launcher's result marshalling (impl/launch), the
+/// TCP rendezvous and advectd's frames. The mesh transport writes and
+/// parses DATA frames in place (mesh.cpp), so a payload is copied at most
+/// once per side.
 
 #include <cstdint>
 #include <cstring>
@@ -144,8 +147,8 @@ void write_frame(int fd, std::uint8_t type,
 /// on a truncated frame or read error.
 [[nodiscard]] bool read_frame(int fd, Frame& out);
 
-/// A frame as contiguous bytes (header + payload), ready to queue on a
-/// nonblocking socket — the mesh transport's outbound unit (mesh.hpp).
+/// A frame as contiguous bytes (header + payload): what a peer writes for
+/// one frame. Tests craft mesh traffic with it.
 [[nodiscard]] std::vector<std::uint8_t> encode_frame(
     std::uint8_t type, std::span<const std::uint8_t> payload);
 

@@ -2,10 +2,11 @@
 // §stage 2) over real stream-socket meshes built inside one process — a
 // socketpair mesh and a localhost TCP rendezvous: each rank is a thread
 // owning its own MeshTransport, so the whole engine — per-peer outbound
-// queues and the eager write, the incremental frame parser, sequence
-// verification, fail_source teardown, and the typed error of every protocol
-// violation — runs with no fork and is safe for the TSan/ASan CI jobs
-// (unlike test_transport, which forks).
+// queues and the eager write, the split between the waiting rank (the only
+// reader) and the engine thread (which only flushes sends), the incremental
+// frame parser, sequence verification, fail_source teardown, and the typed
+// error of every protocol violation — runs with no fork and is safe for the
+// TSan/ASan CI jobs (unlike test_transport, which forks).
 
 #include <gtest/gtest.h>
 
@@ -13,9 +14,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <latch>
 #include <memory>
 #include <random>
 #include <string>
@@ -250,6 +253,92 @@ TEST(ProgressStress, FrameLargerThanTheSocketBufferArrivesBeforeLaterSends) {
     }
 }
 
+TEST(ProgressReaders, OnlyTheWaitingRankReadsItsSockets) {
+    // The engine thread flushes sends and never reads: a message that
+    // reaches a rank with no receive posted stays in the socket until that
+    // rank waits, instead of being queued into its mailbox behind its back
+    // (which cost every awaited message a second thread wake-up).
+    for (const Rendezvous how : {Rendezvous::Socketpair, Rendezvous::Tcp}) {
+        SCOPED_TRACE(how == Rendezvous::Tcp ? "tcp" : "socketpair");
+        auto meshes = connect_local_mesh(2, how);
+        msg::MeshTransport t(0, std::move(meshes[0]),
+                             msg::ProgressMode::Thread);
+        std::thread peer([&] {
+            msg::MeshTransport t1(1, std::move(meshes[1]),
+                                  msg::ProgressMode::Thread);
+            msg::Communicator comm(t1);
+            const std::vector<double> one{42.0};
+            comm.isend(0, 3, one).wait();
+        });
+        peer.join();  // sent, flushed and closed
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        EXPECT_EQ(t.mailbox().pending_messages(), 0u);
+        msg::Communicator comm(t);
+        std::vector<double> in(1, 0.0);
+        comm.irecv(1, 3, in).wait();
+        EXPECT_EQ(in[0], 42.0);
+    }
+}
+
+TEST(ProgressEngine, QueuedSendsMoveWhileTheRankIsAwayOnlyInThreadMode) {
+    // What the engine thread still owns (the paper's Fig 3): rank 0 isends a
+    // frame larger than any socket buffer, then blocks outside the
+    // transport. With the engine thread the remainder still flows, so rank
+    // 1's plain wait completes. Polled, nothing pumps rank 0: rank 1's wait
+    // times out until rank 0's own next wait pumps its queue.
+    static constexpr std::size_t kBig = 512 * 1024;  // 4 MiB of doubles
+    for (const MeshCase& mc : kMatrix) {
+        SCOPED_TRACE(mc.name());
+        const bool threaded = mc.mode == msg::ProgressMode::Thread;
+        auto meshes = connect_local_mesh(2, mc.how);
+        std::latch away(1);
+        std::thread peer([&] {
+            bool released = false;
+            const auto release = [&] {
+                if (!released) away.count_down();
+                released = true;
+            };
+            try {
+                msg::MeshTransport t(1, std::move(meshes[1]), mc.mode);
+                msg::Communicator comm(t);
+                std::vector<double> in(kBig, -1.0);
+                msg::Request r = comm.irecv(0, 1, in);
+                if (threaded) {
+                    r.wait();
+                } else {
+                    EXPECT_THROW(r.wait(0.2), msg::TimeoutError);
+                    release();
+                    r.wait();
+                }
+                release();
+                ASSERT_EQ(r.count(), kBig);
+                for (std::size_t i = 0; i < kBig; ++i)
+                    ASSERT_EQ(in[i], static_cast<double>(i)) << "word " << i;
+                const std::vector<double> ack{1.0};
+                comm.isend(0, 2, ack).wait();
+            } catch (...) {
+                release();
+                ADD_FAILURE() << "rank 1 threw";
+            }
+        });
+        try {
+            msg::MeshTransport t(0, std::move(meshes[0]), mc.mode);
+            msg::Communicator comm(t);
+            std::vector<double> big(kBig);
+            for (std::size_t i = 0; i < kBig; ++i)
+                big[i] = static_cast<double>(i);
+            comm.isend(1, 1, big).wait();
+            away.wait();  // outside the transport
+            std::vector<double> ack(1, 0.0);
+            comm.recv(1, 2, ack);
+            EXPECT_EQ(ack[0], 1.0);
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << "rank 0 threw: " << e.what();
+        }
+        peer.join();
+    }
+}
+
 TEST(ProgressTeardown, DepartedPeerFailsExplicitReceiveTyped) {
     // A peer that leaves cleanly: messages its stream delivered before the
     // EOF are still honoured, anything else from it fails with the typed
@@ -410,10 +499,10 @@ TEST(ProtocolViolation, OversizedLengthHeaderFailsReceivesTyped) {
 }
 
 TEST(ProtocolViolation, MessageLargerThanItsPostedReceiveFailsTyped) {
-    // Not the peer's fault, but the engine thread is where the overflow is
-    // found: it must fail the receive typed instead of letting the
-    // exception end the thread (and the process). The receive is posted
-    // before the bytes are written, so the engine matches it on arrival.
+    // Not the peer's fault, but the transport's pass is where the overflow
+    // is found: it must fail the receive typed instead of letting the
+    // exception escape the pass. The receive is posted before the bytes are
+    // written, so the pass matches it on arrival.
     for (auto mode : kModes) {
         SCOPED_TRACE(msg::progress_mode_name(mode));
         int sv[2];

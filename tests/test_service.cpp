@@ -1,7 +1,8 @@
 // Tests for the advectd service core (docs/SERVICE.md): weighted deficit
 // round-robin convergence and starvation-freedom, priority within a tenant,
 // batching via take_matching, the typed admission rejection paths, strict
-// named-key job-spec parsing and its JSON round-trip, per-job fault-plan
+// named-key job-spec parsing, the JSON parser's nesting bound, the spec's
+// JSON round-trip, per-job fault-plan
 // resolution, SLO aggregation (percentiles, deadline hit-rate, the
 // contended fair-share ledger), report JSON round-trip, the
 // BENCH_service.json trajectory writer, and the bitwise pin of the
@@ -263,6 +264,31 @@ TEST(JobSpec, WrongTypeIsNamedInTheError) {
     } catch (const std::invalid_argument& e) {
         EXPECT_NE(std::string(e.what()).find("steps"), std::string::npos);
     }
+}
+
+TEST(JobSpec, DeeplyNestedValueIsATypedErrorNotACrash) {
+    // advectd parses every submit frame (up to 1 MiB) with job_from_json;
+    // 40 000 nested arrays (about 80 KB) used to overflow the recursive
+    // parser's stack and end the daemon.
+    const std::string deep = R"({"tenant":"t","impl":)" +
+                             std::string(40000, '[') +
+                             std::string(40000, ']') + "}";
+    try {
+        (void)service::job_from_json(deep, "submit");
+        FAIL() << "expected invalid_argument";
+    } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("submit:1: nesting deeper than 64 levels"),
+                  std::string::npos)
+            << what;
+    }
+    // The bound itself: 64 levels parse, 65 do not.
+    const auto nest = [](int depth) {
+        return std::string(static_cast<std::size_t>(depth), '[') +
+               std::string(static_cast<std::size_t>(depth), ']');
+    };
+    EXPECT_NO_THROW((void)json::parse(nest(64)));
+    EXPECT_THROW((void)json::parse(nest(65)), std::invalid_argument);
 }
 
 TEST(JobSpec, FaultPlanResolution) {

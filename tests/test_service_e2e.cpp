@@ -1,11 +1,12 @@
 // End-to-end tests for advectd over a real Unix-domain socket
-// (docs/SERVICE.md): typed rejects on the wire, drain semantics, bitwise
-// determinism of concurrent mixed-tenant jobs against standalone
-// launch_solver runs, and the full game-day gate — every admitted job
-// completes under the correlated-fault overlay, the 2:1 fair-share weight
-// is observable within 15%, and every returned state matches the reference
-// bitwise. Every protocol read is bounded by a typed timeout, so a wedged
-// daemon fails these tests instead of hanging them.
+// (docs/SERVICE.md): typed rejects on the wire (a hostile, deeply nested
+// spec included), drain semantics, bitwise determinism of concurrent
+// mixed-tenant jobs against standalone launch_solver runs, and the full
+// game-day gate — every admitted job completes under the correlated-fault
+// overlay, the 2:1 fair-share weight is observable within 15%, and every
+// returned state matches the reference bitwise. Every protocol read is
+// bounded by a typed timeout, so a wedged daemon fails these tests instead
+// of hanging them.
 //
 // The daemon here executes in-process-transport jobs only; nothing forks.
 // Still, the suite exercises real sockets and a daemon thread — keep it out
@@ -182,6 +183,41 @@ TEST(ServiceE2e, PartialFrameCannotStallOtherTenants) {
     EXPECT_TRUE(done.ok) << done.error;
 
     ::close(rogue);
+    (void)client.drain();
+    fx.server.join();
+    ASSERT_FALSE(fx.error);
+}
+
+TEST(ServiceE2e, NestedSubmitFrameIsRejectedAndTheDaemonServesOn) {
+    // One submit frame of 40 000 nested arrays (about 80 KB, well under the
+    // daemon's inbound frame bound) used to overflow the spec parser's
+    // stack, ending the daemon and every tenant's queue with it. It must
+    // get a typed bad-spec reject, and the same daemon must then complete
+    // another tenant's job.
+    service::DaemonConfig dc;
+    dc.socket_path = unique_socket("nested");
+    DaemonFixture fx(dc);
+    service::Client client = connect_when_up(dc.socket_path);
+
+    const int rogue = service::connect_unix(dc.socket_path);
+    const std::string deep = R"({"tenant":"rogue","impl":)" +
+                             std::string(40000, '[') +
+                             std::string(40000, ']') + "}";
+    service::write_text_frame(rogue, service::kFrameSubmit, deep);
+    advect::msg::wire::Frame reply;
+    ASSERT_TRUE(service::read_frame_timeout(rogue, reply, 60.0,
+                                            "nested submit reply"));
+    EXPECT_EQ(reply.type, service::kFrameReject);
+    const std::string text(reply.payload.begin(), reply.payload.end());
+    EXPECT_NE(text.find("bad-spec"), std::string::npos) << text;
+    EXPECT_NE(text.find("nesting deeper than 64 levels"), std::string::npos)
+        << text;
+    ::close(rogue);
+
+    const std::uint64_t id = client.submit(small_spec("t"));
+    const service::CompletedJob done = client.wait(id);
+    EXPECT_TRUE(done.ok) << done.error;
+
     (void)client.drain();
     fx.server.join();
     ASSERT_FALSE(fx.error);

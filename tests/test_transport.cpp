@@ -321,9 +321,10 @@ TEST(Parity, ChaosSeedReplayLogsIdenticalAcrossTransports) {
     // Drop-and-retransmit and jitter through the mesh transport: the
     // recovered state and the merged fault log must match the in-process
     // run exactly, in both progress modes (retransmit requests travel as
-    // RETRANS frames the engine services). The one-rank implementations
-    // (§IV-A/E) run as rank 0 on every transport, so their rank-keyed draws
-    // (a straggler pinned to rank 0, device launch failures) fire alike.
+    // RETRANS frames each peer serves at its next wait). The one-rank
+    // implementations (§IV-A/E) run as rank 0 on every transport, so their
+    // rank-keyed draws (a straggler pinned to rank 0, device launch
+    // failures) fire alike.
     const auto cfg = small_config(14, 3);
     const struct {
         const char* impl;
