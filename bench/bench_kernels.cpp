@@ -8,7 +8,6 @@
 #include <benchmark/benchmark.h>
 
 #include "core/coeff_cache.hpp"
-#include "core/fused.hpp"
 #include "core/halo.hpp"
 #include "core/problem.hpp"
 #include "core/rows.hpp"
@@ -51,20 +50,21 @@ void BM_StencilSweep(benchmark::State& state) {
 BENCHMARK(BM_StencilSweep)->Arg(24)->Arg(48)->Arg(64);
 
 /// Temporal blocking (docs/PERF.md): one iteration advances `fuse` time
-/// steps through cache-sized fused tiles from a fuse-deep halo, so items/s
-/// counts n^3 * fuse point-updates per iteration. The gate compares the
-/// best fused factor against BM_StencilSweep at the same n.
+/// steps over the interior's rows through the Courant-1 register chain from
+/// a fuse-deep halo, so items/s counts n^3 * fuse point-updates per
+/// iteration. The gate compares the best fused factor against
+/// BM_StencilSweep at the same n.
 void BM_StencilSweepFused(benchmark::State& state) {
     const int n = static_cast<int>(state.range(0));
     const int fuse = static_cast<int>(state.range(1));
     core::Field3 cur({n, n, n}, fuse, 1.0);
     core::Field3 nxt({n, n, n}, fuse);
     const auto a = core::tensor_product_coeffs({1, 1, 1}, 1.0);
-    const core::FusedSweepPlan plan({cur.interior()}, fuse);
-    std::vector<double> scratch(plan.scratch_doubles());
+    const core::RowSpace rows({cur.interior()});
     core::fill_periodic_halo(cur);
     for (auto _ : state) {
-        core::apply_fused_sweep(a, cur, nxt, plan, scratch);
+        core::apply_stencil_chain_rows(a, cur, nxt, rows, 0, rows.size(),
+                                       fuse);
         benchmark::DoNotOptimize(nxt.raw().data());
     }
     state.SetItemsProcessed(state.iterations() *

@@ -40,15 +40,14 @@ void fill_face(Field3& f, const Range3& slab, int dim, BoundaryKind kind,
 
 }  // namespace
 
-void fill_boundary_dim(Field3& f, int dim, int depth, unsigned open,
+void fill_boundary_dim(Field3& f, int dim, unsigned open,
                        const std::array<BoundaryKind, 6>& faces,
                        const BoundaryField& bf, const Index3& origin,
                        int level) {
     const unsigned lo_bit = 1u << (2 * dim);
     const unsigned hi_bit = 1u << (2 * dim + 1);
     if ((open & (lo_bit | hi_bit)) == 0) return;
-    if (depth == 0) depth = f.halo_width();
-    const HaloPlan plan = HaloPlan::make(f.extents(), depth);
+    const HaloPlan plan = HaloPlan::make(f.extents(), f.halo_width());
     const DimExchange& ex = plan.dims[static_cast<std::size_t>(dim)];
     if (open & lo_bit)
         fill_face(f, ex.recv_low, dim,

@@ -11,8 +11,8 @@
 ///
 ///   Inflow  — Dirichlet: the halo takes the boundary data g, a pure
 ///             function of (wrapped global index, time level). Purity is
-///             the bitwise contract: any rank, transport, or fused ghost
-///             depth evaluating a boundary point reproduces the same bits.
+///             the bitwise contract: any rank or transport evaluating a
+///             boundary point reproduces the same bits.
 ///   Outflow — zero gradient: the halo copies the nearest interior plane
 ///             of its own dimension (transverse coordinates unchanged, so
 ///             previously staged halo columns are propagated, not
@@ -45,14 +45,14 @@ struct BoundaryField {
     [[nodiscard]] double g(int gi, int gj, int gk, int level) const;
 };
 
-/// Overwrite the open halos of dimension `dim` to depth `depth` (0 = the
-/// field's full halo width), immediately after that dimension's periodic
-/// exchange or fill. `open` is the *local* open-face mask (bit 2*dim = low
-/// face, bit 2*dim+1 = high face; see Scenario::open_faces restricted by
-/// local_open_faces); `faces` gives each face's kind; `origin` is the local
-/// block's global origin and `level` the base time level of the step (for
-/// fused plans: the level the halo data feeds, i.e. the super-step's base).
-void fill_boundary_dim(Field3& f, int dim, int depth, unsigned open,
+/// Overwrite the open halos of dimension `dim` (the field's whole halo
+/// width; jobs with open faces never fuse, so that is one layer),
+/// immediately after that dimension's periodic exchange or fill. `open` is
+/// the *local* open-face mask (bit 2*dim = low face, bit 2*dim+1 = high
+/// face; see Scenario::open_faces restricted by local_open_faces); `faces`
+/// gives each face's kind; `origin` is the local block's global origin and
+/// `level` the base time level of the step.
+void fill_boundary_dim(Field3& f, int dim, unsigned open,
                        const std::array<BoundaryKind, 6>& faces,
                        const BoundaryField& bf, const Index3& origin,
                        int level);

@@ -77,7 +77,7 @@ Field3 run_reference(const AdvectionProblem& p, int steps) {
         for (int d = 0; d < 3; ++d) {
             fill_periodic_halo_dim(cur, d);
             if (open)
-                fill_boundary_dim(cur, d, 0, open, p.scenario.faces, bf,
+                fill_boundary_dim(cur, d, open, p.scenario.faces, bf,
                                   {0, 0, 0}, s);
         }
         if (var)

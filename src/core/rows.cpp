@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstring>
 
-#include "core/fused.hpp"
 #include "core/halo.hpp"
 #include "core/source.hpp"
 #include "core/stencil.hpp"
@@ -60,6 +59,17 @@ void apply_stencil_rows(const StencilCoeffs& a, const Field3& in, Field3& out,
         apply_stencil_row_ptr(plan, in.ptr(r.xlo, r.j, r.k),
                               out.ptr(r.xlo, r.j, r.k), r.xhi - r.xlo);
         detail::finish_row(out, r, src, wrap);
+    });
+}
+
+void apply_stencil_chain_rows(const StencilCoeffs& a, const Field3& in,
+                              Field3& out, const RowSpace& rows,
+                              std::int64_t lo, std::int64_t hi, int depth) {
+    const StencilPlan plan = StencilPlan::make(a, in);
+    rows.for_each_run(lo, hi, [&](const RowSpace::Row& r, int count) {
+        apply_stencil_chain_ptr(plan, depth, in.ptr(r.xlo, r.j, r.k),
+                                out.ptr(r.xlo, r.j, r.k), r.xhi - r.xlo,
+                                count, in.x_stride(), out.x_stride());
     });
 }
 

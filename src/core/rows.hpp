@@ -7,6 +7,7 @@
 /// interior, boundary slabs, CPU box walls, ...) so that every
 /// implementation schedules work over x-contiguous rows.
 
+#include <algorithm>
 #include <atomic>
 #include <span>
 #include <vector>
@@ -55,11 +56,12 @@ class RowSpace {
     /// Decode a flat row index (0 <= flat < size()).
     [[nodiscard]] Row row(std::int64_t flat) const;
 
-    /// Visit rows [lo, hi) in flat order: fn(const Row&). Walks each region's
-    /// rows directly — one region lookup per *range*, not per row — so hot
-    /// loops (stencil, copy, pack) pay no per-row search at all.
+    /// Visit rows [lo, hi) in flat order as runs of consecutive rows of one
+    /// plane of one region: fn(const Row& first, int count) covers rows
+    /// first.j .. first.j + count - 1 at first.k. One region lookup per
+    /// *range*, not per row, so hot loops pay no per-row search at all.
     template <class Fn>
-    void for_each_row(std::int64_t lo, std::int64_t hi, Fn&& fn) const {
+    void for_each_run(std::int64_t lo, std::int64_t hi, Fn&& fn) const {
         if (lo < 0) lo = 0;
         if (hi > total_) hi = total_;
         if (lo >= hi) return;
@@ -73,15 +75,25 @@ class RowSpace {
             int k = r.lo.k + static_cast<int>(local / ny);
             const std::int64_t stop = hi < prefix_[ri + 1] ? hi
                                                            : prefix_[ri + 1];
-            for (; f < stop; ++f) {
-                fn(Row{r.lo.i, r.hi.i, j, k});
-                if (++j == r.hi.j) {
-                    j = r.lo.j;
-                    ++k;
-                }
+            while (f < stop) {
+                const int count = static_cast<int>(
+                    std::min<std::int64_t>(r.hi.j - j, stop - f));
+                fn(Row{r.lo.i, r.hi.i, j, k}, count);
+                f += count;
+                j = r.lo.j;
+                ++k;
             }
             ++ri;
         }
+    }
+
+    /// Visit rows [lo, hi) in flat order, one at a time: fn(const Row&).
+    template <class Fn>
+    void for_each_row(std::int64_t lo, std::int64_t hi, Fn&& fn) const {
+        for_each_run(lo, hi, [&](const Row& first, int count) {
+            for (int j = first.j; j < first.j + count; ++j)
+                fn(Row{first.xlo, first.xhi, j, first.k});
+        });
     }
 
     [[nodiscard]] std::span<const Range3> regions() const { return regions_; }
@@ -98,7 +110,7 @@ class RowSpace {
     mutable std::atomic<std::size_t> last_region_{0};
 };
 
-struct FusedSource;  // core/fused.hpp
+struct FusedSource;  // core/source.hpp
 
 /// Apply the stencil to rows [lo, hi) of `rows`: the unit of work handed to
 /// one scheduler chunk in the OpenMP-style implementations. Uses the
@@ -110,6 +122,16 @@ struct FusedSource;  // core/fused.hpp
 void apply_stencil_rows(const StencilCoeffs& a, const Field3& in, Field3& out,
                         const RowSpace& rows, std::int64_t lo, std::int64_t hi,
                         const FusedSource* src = nullptr, bool wrap = false);
+
+/// Advance rows [lo, hi) of `rows` by `depth` time steps at once through
+/// the register chain (apply_stencil_chain_ptr): one chain call per run of
+/// consecutive rows in a plane, reading `in` up to `depth` ghost layers
+/// beyond each row. `a` must compact to a single live term (impl::plan_job
+/// admits fuse > 1 only then); the result is bitwise-identical to `depth`
+/// successive apply_stencil_rows sweeps.
+void apply_stencil_chain_rows(const StencilCoeffs& a, const Field3& in,
+                              Field3& out, const RowSpace& rows,
+                              std::int64_t lo, std::int64_t hi, int depth);
 
 namespace detail {
 /// The row epilogue of apply_stencil_rows and apply_stencil_var_rows, on a

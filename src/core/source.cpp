@@ -18,8 +18,8 @@ double SourceTerm::manufactured(double x, double y, double z, double t) const {
 double SourceField::q(int gi, int gj, int gk, int level) const {
     // Wrap the global indices before forming coordinates: sin/cos are not
     // bitwise periodic in floating point (sin(2 pi (x + 1)) != sin(2 pi x)),
-    // so evaluating at the wrapped owner coordinate is what keeps fused
-    // ghost-zone recomputation bitwise-equal to the owning rank.
+    // so evaluating at the wrapped owner coordinate keeps a periodic image
+    // bitwise-equal to the owning point.
     const double x = wrap(gi, n) * delta;
     const double y = wrap(gj, n) * delta;
     const double z = wrap(gk, n) * delta;

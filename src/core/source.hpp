@@ -19,13 +19,13 @@
 /// the Duhamel integral of S along the characteristic is matched to O(dt^3)
 /// per step.
 ///
-/// Bitwise contract: every code path (reference loop, row kernels, fused
-/// wavefront rings, simulated-GPU tiles) obtains Q through
+/// Bitwise contract: every code path (reference loop, row epilogue,
+/// simulated-GPU kernels) obtains Q through
 /// `SourceField::q(gi, gj, gk, level)`, which wraps the *global* indices
-/// periodically before forming physical coordinates. Ghost-zone recomputation
-/// in fused tiles therefore evaluates exactly the same double for a point as
-/// the rank that owns it, preserving the bitwise cross-implementation
-/// equality the rest of the repo is built on.
+/// periodically before forming physical coordinates, so a point's increment
+/// is the same double whichever rank or path evaluates it — the bitwise
+/// cross-implementation equality the rest of the repo is built on. A job
+/// with an active source never fuses time steps (impl::plan_job).
 
 #include <cstdint>
 
@@ -67,21 +67,31 @@ struct SourceField {
 
     [[nodiscard]] bool active() const { return term.active(); }
 
-    /// Q at global index (gi, gj, gk) — wrapped into [0, n) first, so halo
-    /// and ghost-recompute coordinates reproduce the owning point's bits —
-    /// for the step that advances time level `level` to `level + 1`.
+    /// Q at global index (gi, gj, gk) — wrapped into [0, n) first, so a
+    /// periodic image's coordinates reproduce the owning point's bits — for
+    /// the step that advances time level `level` to `level + 1`.
     [[nodiscard]] double q(int gi, int gj, int gk, int level) const;
 };
 
+/// Manufactured-source context of one step's sweep: the bound source field,
+/// the global origin of the local field's (0,0,0), and the time level the
+/// step starts from. The row epilogue (core::detail::finish_row) adds
+/// Q(global point, base_level) to every row it finishes.
+struct FusedSource {
+    SourceField field{};
+    Index3 origin{};
+    int base_level = 0;
+};
+
 /// dst[ly * stride + x] += q(gx0 + x, gy0 + ly, gz, level) over an
-/// nx-by-ny plane of rows: the raw-slab form used by the fused wavefront
-/// rings and the GPU staging planes, and the building block of add_source.
+/// nx-by-ny plane of rows: the raw-slab form used by the row epilogue and
+/// the simulated-GPU kernels, and the building block of add_source.
 void add_source_plane(double* dst, std::ptrdiff_t stride, int nx, int ny,
                       int gx0, int gy0, int gz, int level,
                       const SourceField& sf);
 
 /// f(p) += Q(origin + p, level) over region `r` of a local field whose
-/// global origin is `origin`. `r` may extend into halos (ghost recompute).
+/// global origin is `origin`.
 void add_source(Field3& f, const SourceField& sf, const Index3& origin,
                 const Range3& r, int level);
 

@@ -39,9 +39,9 @@ void apply_stencil(const StencilCoeffs& a, const Field3& in, Field3& out);
 /// running sum starts at +0.0 and can never become -0.0 (x + (-x) rounds to
 /// +0.0, and +0.0 + ±0.0 = +0.0), and adding the skipped ±0.0 products to
 /// +0.0 or to a nonzero changes no bit. Degenerate advection coefficients
-/// (Courant-1 tensor factors) zero out most of the 27 terms, so the sweep
-/// drops from compute-bound to its memory floor — the regime the temporal
-/// blocking of docs/PERF.md is built for.
+/// (Courant-1 tensor factors) zero out all but one of the 27 terms, so the
+/// sweep drops from compute-bound to its memory floor — the one regime
+/// where temporal blocking pays (apply_stencil_chain_ptr, docs/PERF.md §3).
 struct StencilPlan {
     std::array<double, 27> coeff{};
     std::array<std::ptrdiff_t, 27> offset{};
@@ -49,9 +49,9 @@ struct StencilPlan {
 
     /// Plan for a layout whose j rows sit `x_stride` doubles apart and whose
     /// dk = -1, 0, +1 planes sit at `plane[0..2]` doubles from the centre —
-    /// arbitrary distances, so a rotating ring of z-plane slabs (the fused
-    /// CPU tile, the simulated GPU's shared-memory tile) is planned by the
-    /// same compacting builder as a padded field.
+    /// arbitrary distances, so a rotating ring of z-plane slabs (the
+    /// simulated GPU's shared-memory tile) is planned by the same compacting
+    /// builder as a padded field.
     [[nodiscard]] static StencilPlan make(
         const StencilCoeffs& a, std::ptrdiff_t x_stride,
         const std::array<std::ptrdiff_t, 3>& plane);
@@ -92,16 +92,19 @@ void apply_stencil_var_row_ptr(const double* coeff,
 /// dispatch per tile plane instead of one indirect call per row, with the
 /// plan loads hoisted out of the row loop. Row r is bitwise-identical to
 /// apply_stencil_row_ptr(plan, in + r*in_stride, out + r*out_stride, n);
-/// used by the fused tile engine, whose ring slabs make the strides uniform.
+/// used by the simulated GPU's tile, whose staging planes make the strides
+/// uniform.
 void apply_stencil_plane_ptr(const StencilPlan& plan, const double* in,
                              double* out, int n, int rows,
                              std::ptrdiff_t in_stride,
                              std::ptrdiff_t out_stride);
 
 /// Fused register chain for single-term plans (`plan.terms == 1`, e.g. the
-/// Courant-1 tensor coefficients): `depth` successive applications of a
-/// one-term stencil form a pure per-point dependency chain, so the whole
-/// temporal-blocking pyramid collapses to a line held in registers. Point x
+/// Courant-1 tensor coefficients), the only fused kernel on the host
+/// (apply_stencil_chain_rows) and the simulated GPU alike: `depth`
+/// successive applications of a one-term stencil form a pure per-point
+/// dependency chain, so the temporal-blocking pyramid collapses to a line
+/// held in registers. Point x
 /// of row r computes exactly the level sequence
 ///     s_1 = 0.0 + c * in[r*in_stride + x + depth*offset[0]],
 ///     s_t = 0.0 + c * s_{t-1},   out[r*out_stride + x] = s_depth,
@@ -141,7 +144,7 @@ void apply_stencil_var_row_portable(const double* __restrict__ coeff,
 /// overlap implementations (paper §IV-C, §IV-D): boundary points are those
 /// within `depth` of a halo point; interior points are the rest. Depth is 1
 /// for single-step plans and the fuse factor F for temporal-blocking plans
-/// (a point s steps of fused work away from the halo needs s ghost layers).
+/// (a point F fused steps from its output reads F ghost layers deep).
 struct InteriorBoundary {
     /// The deep-interior box [d, n-d)^3 (empty if any extent < 2d+1).
     Range3 interior;

@@ -36,9 +36,12 @@ struct SolverConfig {
 
     /// Temporal-blocking fuse factor (all implementations): advance `fuse`
     /// time steps per fused super-step from halos `fuse` deep, exchanged
-    /// once (docs/PERF.md "Temporal blocking"). steps % fuse remainder steps
-    /// run through an unfused plan. 1 disables fusing. Results are
-    /// bitwise-identical for every legal value.
+    /// once, through the single-term register chain (docs/PERF.md
+    /// "Temporal blocking"). steps % fuse remainder steps run through an
+    /// unfused plan. 1 disables fusing. > 1 is legal only on a periodic,
+    /// constant-coefficient, source-free problem whose coefficients compact
+    /// to one live term (impl::plan_job throws plan::FuseGeometryError
+    /// otherwise). Results are bitwise-identical for every legal value.
     int fuse = 1;
 
     /// Verification-only (docs/VERIFICATION.md "Schedule exploration"):

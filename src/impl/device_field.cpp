@@ -1,11 +1,10 @@
 #include "impl/device_field.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstring>
-#include <vector>
 
-#include "core/fused.hpp"
 #include "core/halo.hpp"
 #include "core/stencil.hpp"
 
@@ -16,6 +15,31 @@ void upload_coefficients(gpu::Device& device, const core::StencilCoeffs& a) {
 }
 
 namespace {
+
+/// Slot of z plane `z` in a rotating ring of three plane slabs (z may be
+/// negative near the halo).
+int ring_slot(int z) { return ((z % 3) + 3) % 3; }
+
+/// The three rotation-phase plans for reading such a ring — row pitch
+/// `x_stride`, slabs `plane` doubles apart: phase p (the ring slot of the
+/// centre plane) finds its dk = ±1 planes in slots (p ± 1) mod 3.
+std::array<core::StencilPlan, 3> rotation_plans(const core::StencilCoeffs& a,
+                                                std::ptrdiff_t x_stride,
+                                                std::ptrdiff_t plane) {
+    std::array<core::StencilPlan, 3> plans;
+    for (int p = 0; p < 3; ++p)
+        plans[static_cast<std::size_t>(p)] = core::StencilPlan::make(
+            a, x_stride,
+            {(ring_slot(p + 2) - p) * plane, 0, (ring_slot(p + 1) - p) * plane});
+    return plans;
+}
+
+/// The stencil coefficients as a kernel reads them from constant memory.
+core::StencilCoeffs constant_coeffs(std::span<const double> consts) {
+    core::StencilCoeffs a;
+    std::copy_n(consts.begin(), 27, a.a.begin());
+    return a;
+}
 
 /// Stage rows [y0, y0 + h) x [x0, x0 + w) of z plane `z` of `layout`'s
 /// padded field into `tile` (row pitch `pitch`, tile (0, 0) = (x0, y0)):
@@ -48,23 +72,6 @@ void launch_stencil(gpu::Stream& stream, gpu::Device& device,
     assert(fuse >= 1);
     if (region.empty()) return;
     assert(in.halo_width() >= fuse && out.halo_width() >= fuse);
-    const auto e = region.extents();
-    const gpu::Dim3 grid{(e.nx + bx - 1) / bx, (e.ny + by - 1) / by, 1};
-    // Widest fringe: level 0 stages rows 2*fuse wider than the write set
-    // (the halo threads of a (bx+2) x (by+2) block at fuse 1).
-    const gpu::Dim3 block{bx + 2 * fuse, by + 2 * fuse, 1};
-    // Rotating staging planes per level: level s (s steps ahead of the
-    // input) keeps three xy planes of extent (bx + 2*(fuse-s)) x
-    // (by + 2*(fuse-s)); level `fuse` rows go straight to global memory.
-    std::vector<std::size_t> plane_off(static_cast<std::size_t>(fuse));
-    std::size_t shared_doubles = 0;
-    for (int s = 0; s < fuse; ++s) {
-        plane_off[static_cast<std::size_t>(s)] = shared_doubles;
-        shared_doubles += 3 *
-                          static_cast<std::size_t>(bx + 2 * (fuse - s)) *
-                          static_cast<std::size_t>(by + 2 * (fuse - s));
-    }
-
     auto consts = device.constants();
     auto src = in.buffer().span();
     auto dst = out.buffer().span();
@@ -72,78 +79,78 @@ void launch_stencil(gpu::Stream& stream, gpu::Device& device,
     // the extents for offset math.
     const DeviceField in_layout = in;
     const DeviceField out_hold = out;
-    const std::ptrdiff_t out_pitch = in.extents().nx + 2 * in.halo_width();
+    const std::ptrdiff_t pitch = in.extents().nx + 2 * in.halo_width();
 
-    stream.launch(grid, block, shared_doubles, [=, lo = region.lo,
-                                                hi = region.hi](
-                                                   gpu::Dim3 bidx, gpu::Dim3,
-                                                   std::span<double> shared) {
+    if (fuse > 1) {
+        // The register chain (single-term coefficients, no source: the
+        // only fused jobs impl::plan_job admits) needs no staging: like
+        // launch_stencil_var, one memory-bound block streams each plane's
+        // rows straight from the padded layout.
+        assert(!msrc.active());
+        const std::ptrdiff_t plane =
+            pitch * (in.extents().ny + 2 * in.halo_width());
+        stream.launch({1, 1, 1}, {1, 1, 1}, 0, [=](gpu::Dim3, gpu::Dim3,
+                                                   std::span<double>) {
+            (void)out_hold;
+            const core::StencilPlan plan =
+                core::StencilPlan::make(constant_coeffs(consts), pitch, plane);
+            const auto e = region.extents();
+            for (int k = region.lo.k; k < region.hi.k; ++k) {
+                const std::size_t at =
+                    in_layout.offset(region.lo.i, region.lo.j, k);
+                core::apply_stencil_chain_ptr(plan, fuse, src.data() + at,
+                                              dst.data() + at, e.nx, e.ny,
+                                              pitch, pitch);
+            }
+        });
+        return;
+    }
+
+    const auto e = region.extents();
+    const gpu::Dim3 grid{(e.nx + bx - 1) / bx, (e.ny + by - 1) / by, 1};
+    // The paper's (bx+2) x (by+2) block: the fringe are halo threads that
+    // only stage the tile, and three shared xy planes rotate through z.
+    const gpu::Dim3 block{bx + 2, by + 2, 1};
+    const int tpitch = bx + 2;
+    const std::ptrdiff_t tplane = static_cast<std::ptrdiff_t>(tpitch) * (by + 2);
+
+    stream.launch(grid, block, static_cast<std::size_t>(3 * tplane),
+                  [=](gpu::Dim3 bidx, gpu::Dim3, std::span<double> shared) {
         (void)out_hold;  // keeps the output buffer alive until the op runs
+        const core::Index3 lo = region.lo;
+        const core::Index3 hi = region.hi;
         const int x0 = lo.i + bidx.x * bx;  // first computed x of this block
         const int y0 = lo.j + bidx.y * by;
         const int cx = std::min(bx, hi.i - x0);  // computed extent
         const int cy = std::min(by, hi.j - y0);
-        const auto pitch = [&](int s) { return bx + 2 * (fuse - s); };
-        const auto plane_size = [&](int s) {
-            return static_cast<std::size_t>(pitch(s)) *
-                   static_cast<std::size_t>(by + 2 * (fuse - s));
+        // Shared-memory plane holding global z plane `z`.
+        const auto slot = [&](int z) {
+            return shared.data() + ring_slot(z) * tplane;
         };
-        // Shared-memory base of level s's staging plane holding global z
-        // plane `z` (each level reuses its three planes as the z wavefront
-        // advances).
-        const auto level_base = [&](int s, int z) {
-            return shared.data() + plane_off[static_cast<std::size_t>(s)] +
-                   static_cast<std::size_t>(core::ring_slot(z)) * plane_size(s);
-        };
-
         // Plans from constant memory, compacted like the CPU paths' (a
-        // Courant-1 table runs one term): level s reads level s-1's slots,
-        // whose dk = ±1 planes sit at rotation-dependent distances, so each
-        // level has one plan per rotation phase — built once per block.
-        core::StencilCoeffs a;
-        std::copy_n(consts.begin(), 27, a.a.begin());
-        std::vector<std::array<core::StencilPlan, 3>> plans;
-        plans.reserve(static_cast<std::size_t>(fuse));
-        for (int s = 1; s <= fuse; ++s)
-            plans.push_back(core::rotation_plans(
-                a, pitch(s - 1),
-                static_cast<std::ptrdiff_t>(plane_size(s - 1))));
+        // Courant-1 table runs one term): the dk = ±1 planes sit at
+        // rotation-dependent distances, so one plan per rotation phase,
+        // built once per block.
+        const auto plans =
+            rotation_plans(constant_coeffs(consts), tpitch, tplane);
 
-        // Advance plane t of level s from level s-1's planes t-1, t, t+1:
-        // one plane call of the same row kernel as the CPU paths, so the
-        // result is bitwise identical to core::stencil_point.
-        const auto compute_level = [&](int s, int t) {
-            const int gdst = fuse - s;
-            const int wx = cx + 2 * gdst;
-            const int wy = cy + 2 * gdst;
-            const double* from = level_base(s - 1, t) + pitch(s - 1) + 1;
-            double* to = s == fuse ? dst.data() + in_layout.offset(x0, y0, t)
-                                   : level_base(s, t);
-            const std::ptrdiff_t to_pitch = s == fuse ? out_pitch : pitch(s);
+        // z wavefront: once input plane z is staged (halo rows included),
+        // plane z - 1 has its three source planes resident and is written
+        // straight to `out` by one plane call of the CPU paths' row kernel,
+        // so the result is bitwise identical to core::stencil_point.
+        for (int z = lo.k - 1; z <= hi.k; ++z) {
+            stage_plane(src.data(), in_layout, slot(z), tpitch, x0 - 1,
+                        y0 - 1, cx + 2, cy + 2, z);
+            const int t = z - 1;
+            if (t < lo.k) continue;
+            double* to = dst.data() + in_layout.offset(x0, y0, t);
             core::apply_stencil_plane_ptr(
-                plans[static_cast<std::size_t>(s - 1)]
-                     [static_cast<std::size_t>(core::ring_slot(t))],
-                from, to, wx, wy, pitch(s - 1), to_pitch);
+                plans[static_cast<std::size_t>(ring_slot(t))],
+                slot(t) + tpitch + 1, to, cx, cy, tpitch, pitch);
             if (msrc.active())
-                core::add_source_plane(to, to_pitch, wx, wy,
-                                       msrc.origin.i + x0 - gdst,
-                                       msrc.origin.j + y0 - gdst,
-                                       msrc.origin.k + t, msrc.level + s - 1,
-                                       msrc.field);
-        };
-
-        // z wavefront: as input plane z is staged (halo rows included), each
-        // level s can advance its plane z - s (its three source planes are
-        // the level s-1 slots still resident), and level `fuse` streams
-        // finished planes out.
-        for (int z = lo.k - fuse; z < hi.k + fuse; ++z) {
-            stage_plane(src.data(), in_layout, level_base(0, z), pitch(0),
-                        x0 - fuse, y0 - fuse, cx + 2 * fuse, cy + 2 * fuse, z);
-            for (int s = 1; s <= fuse; ++s) {
-                const int t = z - s;
-                const int gdst = fuse - s;
-                if (t >= lo.k - gdst && t < hi.k + gdst) compute_level(s, t);
-            }
+                core::add_source_plane(to, pitch, cx, cy, msrc.origin.i + x0,
+                                       msrc.origin.j + y0, msrc.origin.k + t,
+                                       msrc.level, msrc.field);
         }
     });
 }
@@ -220,7 +227,7 @@ void launch_periodic_halo(gpu::Stream& stream, DeviceField& f, int dim,
 }
 
 void launch_boundary_fill(gpu::Stream& stream, DeviceField& f, int dim,
-                          int depth, unsigned open,
+                          unsigned open,
                           const std::array<core::BoundaryKind, 6>& faces,
                           const core::BoundaryField& bf,
                           const core::Index3& origin, int level) {
@@ -228,7 +235,7 @@ void launch_boundary_fill(gpu::Stream& stream, DeviceField& f, int dim,
     const unsigned hi_bit = 1u << (2 * dim + 1);
     if ((open & (lo_bit | hi_bit)) == 0) return;
     const auto n = f.extents();
-    const auto plan = core::HaloPlan::make(n, depth);
+    const auto plan = core::HaloPlan::make(n, 1);
     const auto& e = plan.dims[static_cast<std::size_t>(dim)];
     auto data = f.buffer().span();
     const DeviceField layout = f;

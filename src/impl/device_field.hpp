@@ -9,9 +9,10 @@
 ///
 /// The stencil kernels do no arithmetic of their own: the tiled kernel
 /// stages each tile row with one contiguous copy and hands every tile plane
-/// to core::apply_stencil_plane_ptr with a compacted StencilPlan, and the
+/// to core::apply_stencil_plane_ptr with a compacted StencilPlan, the fused
+/// kernel hands every plane to core::apply_stencil_chain_ptr, and the
 /// variable kernel hands every row to core::apply_stencil_var_row_ptr — the
-/// vector row kernel every CPU sweep runs (docs/PERF.md §2).
+/// vector row kernels every CPU sweep runs (docs/PERF.md §2).
 
 #include <array>
 
@@ -80,23 +81,21 @@ class DeviceField {
 /// ("the a_ijk values are in GPU constant memory", §IV-E).
 void upload_coefficients(gpu::Device& device, const core::StencilCoeffs& a);
 
-/// Launch the tiled stencil kernel over `region` of the padded field,
-/// advancing it `fuse` steps (1 = one plain Equation 2 update). Thread
-/// blocks are (bx + 2*fuse) x (by + 2*fuse): the fringe are halo threads
-/// that only load the shared tile — at fuse 1 the paper's (bx+2) x (by+2)
-/// block with three shared tile planes (z-1, z, z+1) rotating as threads
-/// iterate z. Each block pipelines a z wavefront through `fuse` levels of
-/// rotating shared-memory xy planes: level 0 stages the input, one
-/// contiguous copy per tile row clamped to the padded bounds; level s holds
-/// the state s steps ahead on a tile shrunk by s ghost layers; level `fuse`
-/// rows are written straight to `out` over `region`. Every level is one
-/// plane call of the CPU paths' row kernel, with plans compacted from the
-/// device's constant memory by StencilPlan::make (a Courant-1 table runs
-/// one term), so the result is bitwise-identical to `fuse` successive
-/// core::apply_stencil sweeps. The halos of `in` covering region+fuse must
-/// be valid (halo_width() >= fuse). An active `src` adds Q to every level-s
-/// row at time level src.level + s - 1, bitwise-identical to the CPU source
-/// hook and the fused CPU pipeline.
+/// Launch the stencil kernel over `region` of the padded field, advancing
+/// it `fuse` steps (1 = one plain Equation 2 update). At fuse 1 it is the
+/// paper's shared-memory tile: (bx+2) x (by+2) thread blocks whose fringe
+/// are halo threads that only stage the tile, and three shared xy planes
+/// (z-1, z, z+1) rotating as threads iterate z. Each plane is staged with
+/// one contiguous copy per tile row, clamped to the padded bounds, and
+/// computed by one plane call of the CPU paths' row kernel with a plan
+/// compacted from the device's constant memory (a Courant-1 table runs one
+/// term), so the result is bitwise-identical to core::apply_stencil. An
+/// active `src` adds Q at time level src.level, like the CPU hook. At
+/// fuse > 1 (single-term coefficients and no source: the only fused jobs
+/// impl::plan_job admits) it runs core::apply_stencil_chain_ptr over each
+/// plane's rows straight from the padded buffer, bitwise-identical to
+/// `fuse` successive sweeps; the halos of `in` covering region+fuse must be
+/// valid (halo_width() >= fuse).
 void launch_stencil(gpu::Stream& stream, gpu::Device& device,
                     const DeviceField& in, DeviceField& out,
                     const core::Range3& region, int bx, int by,
@@ -124,12 +123,13 @@ void launch_periodic_halo(gpu::Stream& stream, DeviceField& f, int dim,
 
 /// Device-side open-boundary overwrite of one dimension's halo slabs (the
 /// §IV-E resident case), launched right after that dimension's periodic
-/// halo kernel. Mirrors core::fill_boundary_dim bitwise: Inflow evaluates
-/// the by-value-captured BoundaryField's g at (wrapped global index,
-/// `level`), Outflow copies the nearest interior plane. `level` is
-/// snapshotted at enqueue time like GpuSource::level.
+/// halo kernel, one layer deep (open faces never fuse). Mirrors
+/// core::fill_boundary_dim bitwise: Inflow evaluates the by-value-captured
+/// BoundaryField's g at (wrapped global index, `level`), Outflow copies the
+/// nearest interior plane. `level` is snapshotted at enqueue time like
+/// GpuSource::level.
 void launch_boundary_fill(gpu::Stream& stream, DeviceField& f, int dim,
-                          int depth, unsigned open,
+                          unsigned open,
                           const std::array<core::BoundaryKind, 6>& faces,
                           const core::BoundaryField& bf,
                           const core::Index3& origin, int level);

@@ -8,6 +8,7 @@
 
 #include "core/box_partition.hpp"
 #include "core/decomposition.hpp"
+#include "core/stencil.hpp"
 #include "impl/cpu_kernels.hpp"
 #include "impl/device_field.hpp"
 #include "impl/exchange.hpp"
@@ -39,16 +40,15 @@ FusedSchedule fused_schedule(const plan::StepPlan& plan, int steps) {
 }
 
 /// The fuse-1 plan for the remainder steps (nullopt when none are needed).
-/// Inherits the fused plan's scenario stamps so remainder steps keep filling
-/// open boundaries (var_coeff forces fuse = 1, so it never reaches here).
+/// A fused plan is periodic and constant-coefficient, and so is its
+/// remainder.
 std::optional<plan::StepPlan> remainder_plan(const plan::StepPlan& plan,
                                              const SolverConfig& cfg,
                                              const FusedSchedule& sched,
                                              core::Extents3 local) {
     if (sched.remainder == 0) return std::nullopt;
     return plan::build_step_plan(plan.impl_id,
-                                 {local, cfg.box_thickness, /*fuse=*/1,
-                                  plan.open_faces, plan.var_coeff});
+                                 {local, cfg.box_thickness, /*fuse=*/1});
 }
 
 /// Per-rank scenario runtime, built once at setup (outside the timed loop):
@@ -73,6 +73,30 @@ struct ScenarioRuntime {
     }
 };
 
+/// Why problem `p` cannot fuse time steps, or "" when it can. The one
+/// fused kernel is the single-term register chain (docs/PERF.md §3), so a
+/// fused job must be periodic, constant-coefficient and source-free, with
+/// coefficients that compact to one live term.
+std::string fuse_rule_error(const core::AdvectionProblem& p) {
+    if (!p.constant_coefficients())
+        return "needs constant coefficients (the register chain has one "
+               "coefficient per step, not one per cell)";
+    if (!p.scenario.periodic())
+        return "needs every face periodic (an open face's boundary data "
+               "changes every step)";
+    if (p.source.active())
+        return "needs a source-free problem (the register chain cannot add "
+               "a manufactured source between steps)";
+    const int terms = core::StencilPlan::make(p.coeffs(), 0, 0).terms;
+    if (terms != 1)
+        return "needs coefficients with one live term, as at Courant 1 "
+               "(these keep " +
+               std::to_string(terms) +
+               " live terms: a dense sweep is FP-bound and fusing it does "
+               "not pay)";
+    return {};
+}
+
 }  // namespace
 
 PlanJob plan_job(const std::string& impl_id, const SolverConfig& cfg) {
@@ -80,6 +104,12 @@ PlanJob plan_job(const std::string& impl_id, const SolverConfig& cfg) {
     const std::string scen_err = p.scenario.validate_error();
     if (!scen_err.empty())
         throw std::invalid_argument("invalid scenario: " + scen_err);
+    if (cfg.fuse > 1) {
+        const std::string why = fuse_rule_error(p);
+        if (!why.empty())
+            throw plan::FuseGeometryError(
+                "fuse factor " + std::to_string(cfg.fuse) + " " + why);
+    }
     const bool var = !p.constant_coefficients();
 
     PlanJob job;

@@ -37,14 +37,17 @@ struct PlanJob {
 };
 
 /// Lay out the job `cfg` asks of implementation `impl_id`: validate the
-/// scenario, decompose the domain and build every rank's plan on its local
-/// extents and open faces. Runs on the calling thread, before any rank
-/// starts, so a bad job throws here instead of stranding ranks in a
-/// barrier: std::invalid_argument for an invalid scenario or a geometry the
-/// builder rejects (e.g. a box_thickness leaving a rank no GPU block), and
-/// a plan::FuseGeometryError that names the rank for a fuse factor whose
-/// deepened halo exceeds a rank's local box. std::out_of_range for an
-/// unknown implementation.
+/// scenario, decide whether the job may fuse, decompose the domain and
+/// build every rank's plan on its local extents and open faces. Runs on the
+/// calling thread, before any rank starts, so a bad job throws here instead
+/// of stranding ranks in a barrier: std::invalid_argument for an invalid
+/// scenario or a geometry the builder rejects (e.g. a box_thickness leaving
+/// a rank no GPU block), and std::out_of_range for an unknown
+/// implementation. plan::FuseGeometryError rejects cfg.fuse > 1 unless the
+/// problem is periodic, constant-coefficient and source-free with
+/// coefficients that compact to one live term (the register chain is the
+/// only fused kernel), naming the reason; and, naming the rank, a fuse
+/// factor whose deepened halo exceeds a rank's local box.
 [[nodiscard]] PlanJob plan_job(const std::string& impl_id,
                                const SolverConfig& cfg);
 

@@ -1,10 +1,8 @@
 #include "impl/plan_executor.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <memory>
-#include <span>
 
 #include "chaos/inject.hpp"
 #include "impl/cpu_kernels.hpp"
@@ -123,7 +121,6 @@ std::vector<std::size_t> shuffled_issue_order(const plan::StepPlan& plan,
 PlanExecutor::PlanExecutor(const plan::StepPlan& plan, ExecContext ctx)
     : plan_(&plan), ctx_(ctx) {
     rows_.resize(plan.tasks.size());
-    fused_.resize(plan.tasks.size());
     for (std::size_t i = 0; i < plan.tasks.size(); ++i) {
         const auto& t = plan.tasks[i];
         if (t.op != plan::Op::Stencil) continue;
@@ -133,27 +130,13 @@ PlanExecutor::PlanExecutor(const plan::StepPlan& plan, ExecContext ctx)
         // All-empty region lists (e.g. a degenerate interior third in
         // §IV-C) leave a zero-row space the dispatcher skips, exactly as the
         // hand-written drivers skipped absent slabs.
-        if (!regs.empty()) {
-            if (t.payload.fuse > 1) {
-                // Temporal blocking: decompose into cache-sized tiles each
-                // advanced `fuse` steps; the tiles are the parallel unit.
-                fused_[i] = core::FusedSweepPlan(regs, t.payload.fuse);
-                scratch_stride_ =
-                    std::max(scratch_stride_, fused_[i].scratch_doubles());
-            } else {
-                rows_[i] = core::RowSpace(std::move(regs));
-            }
-        }
+        if (!regs.empty()) rows_[i] = core::RowSpace(std::move(regs));
         if (plan.mode == plan::Mode::TeamStages) stages_.push_back(i);
     }
     if (plan.mode == plan::Mode::HostIssue && plan.fuse == 1)
         for (const auto& t : plan.tasks)
             if (t.op == plan::Op::HaloFill && t.payload.dim < 0)
                 wrap_halo_ = true;
-    if (scratch_stride_ > 0) {
-        const int workers = ctx_.team != nullptr ? ctx_.team->size() : 1;
-        scratch_.resize(scratch_stride_ * static_cast<std::size_t>(workers));
-    }
     if (plan.mode == plan::Mode::TeamStages) {
         for (std::size_t i = 0; i < plan.tasks.size(); ++i) {
             if (plan.tasks[i].op == plan::Op::MasterExchange)
@@ -167,12 +150,6 @@ PlanExecutor::PlanExecutor(const plan::StepPlan& plan, ExecContext ctx)
         order_ = shuffled_issue_order(
             plan, ctx_.cfg->schedule_seed,
             ctx_.comm != nullptr ? ctx_.comm->rank() : 0);
-}
-
-std::span<double> PlanExecutor::scratch(int thread_id) {
-    return std::span<double>(scratch_).subspan(
-        scratch_stride_ * static_cast<std::size_t>(thread_id),
-        scratch_stride_);
 }
 
 void PlanExecutor::run_step() {
@@ -220,7 +197,7 @@ void PlanExecutor::run_team_stages() {
     scheds.reserve(stages_.size());
     for (const std::size_t si : stages_)
         scheds.push_back(std::make_unique<omp::LoopScheduler>(
-            0, units(si), to_omp(plan_->tasks[si].payload.schedule),
+            0, rows_[si].size(), to_omp(plan_->tasks[si].payload.schedule),
             ctx_.team->size()));
 
     const std::size_t nstages = stages_.size();
@@ -246,9 +223,9 @@ void PlanExecutor::run_team_stages() {
                                      /*team=*/nullptr);
             ctx_.exchange->finish_dim(*ctx_.comm, *ctx_.cur, d,
                                       /*team=*/nullptr);
-            core::fill_boundary_dim(*ctx_.cur, d, /*depth=*/0,
-                                    plan_->open_faces, ctx_.scenario->faces,
-                                    *ctx_.boundary, ctx_.origin, level);
+            core::fill_boundary_dim(*ctx_.cur, d, plan_->open_faces,
+                                    ctx_.scenario->faces, *ctx_.boundary,
+                                    ctx_.origin, level);
         }
     };
 
@@ -269,7 +246,7 @@ void PlanExecutor::run_team_stages() {
         }
         for (std::size_t s = 0; s < nstages; ++s) {
             omp::drain(*scheds[s], id, [&](std::int64_t lo, std::int64_t hi) {
-                sweep(stages_[s], lo, hi, id);
+                sweep(stages_[s], lo, hi);
             });
             // "An OpenMP barrier ensures that the master thread completes
             // communication before computation begins on the boundary."
@@ -328,25 +305,17 @@ void PlanExecutor::run_task_retrying(const plan::Task& task,
     }
 }
 
-std::int64_t PlanExecutor::units(std::size_t index) const {
-    return fused_[index].size() > 0
-               ? static_cast<std::int64_t>(fused_[index].size())
-               : rows_[index].size();
-}
-
-void PlanExecutor::sweep(std::size_t index, std::int64_t lo, std::int64_t hi,
-                         int tid) {
-    core::FusedSource fsrc;
-    if (has_source()) fsrc = {*ctx_.source, ctx_.origin, base_level()};
-    const core::FusedSweepPlan& fp = fused_[index];
-    if (fp.size() > 0) {
-        for (std::int64_t ti = lo; ti < hi; ++ti)
-            core::apply_fused_tile(*ctx_.coeffs, *ctx_.cur, *ctx_.nxt,
-                                   fp.tiles()[static_cast<std::size_t>(ti)].out,
-                                   fp.fuse(), scratch(tid), &fsrc);
+void PlanExecutor::sweep(std::size_t index, std::int64_t lo,
+                         std::int64_t hi) {
+    const core::RowSpace& rows = rows_[index];
+    const int fuse = plan_->tasks[index].payload.fuse;
+    if (fuse > 1) {
+        core::apply_stencil_chain_rows(*ctx_.coeffs, *ctx_.cur, *ctx_.nxt,
+                                       rows, lo, hi, fuse);
         return;
     }
-    const core::RowSpace& rows = rows_[index];
+    core::FusedSource fsrc;
+    if (has_source()) fsrc = {*ctx_.source, ctx_.origin, base_level()};
     if (plan_->var_coeff)
         core::apply_stencil_var_rows(*ctx_.coeff_cache, *ctx_.cur, *ctx_.nxt,
                                      rows, lo, hi, &fsrc, wrap_halo_);
@@ -391,27 +360,22 @@ void PlanExecutor::run_task(const plan::Task& task, std::size_t index) {
                 halo_fill_parallel(*ctx_.team, *ctx_.cur, p.dim);
             break;
         case plan::Op::BoundaryFill:
-            if (p.dim >= 0) {
-                core::fill_boundary_dim(*ctx_.cur, p.dim, /*depth=*/0,
-                                        plan_->open_faces,
-                                        ctx_.scenario->faces, *ctx_.boundary,
-                                        ctx_.origin, base_level());
-            } else {
-                for (int d = 0; d < 3; ++d)
-                    core::fill_boundary_dim(*ctx_.cur, d, /*depth=*/0,
-                                            plan_->open_faces,
+            // dim -1 fills all three dimensions in order.
+            for (int d = 0; d < 3; ++d)
+                if (p.dim < 0 || p.dim == d)
+                    core::fill_boundary_dim(*ctx_.cur, d, plan_->open_faces,
                                             ctx_.scenario->faces,
                                             *ctx_.boundary, ctx_.origin,
                                             base_level());
-            }
             break;
         case plan::Op::Stencil: {
-            if (units(index) == 0) break;
-            omp::LoopScheduler sched(0, units(index), to_omp(p.schedule),
+            const std::int64_t rows = rows_[index].size();
+            if (rows == 0) break;
+            omp::LoopScheduler sched(0, rows, to_omp(p.schedule),
                                      ctx_.team->size());
             ctx_.team->parallel([&](int id) {
                 omp::drain(sched, id, [&](std::int64_t lo, std::int64_t hi) {
-                    sweep(index, lo, hi, id);
+                    sweep(index, lo, hi);
                 });
             });
             break;
@@ -448,9 +412,8 @@ void PlanExecutor::run_task(const plan::Task& task, std::size_t index) {
             break;
         case plan::Op::KernelBoundary:
             launch_boundary_fill(stream(p.stream), *ctx_.d_cur, p.dim,
-                                 plan_->fuse, plan_->open_faces,
-                                 ctx_.scenario->faces, *ctx_.boundary,
-                                 ctx_.origin, base_level());
+                                 plan_->open_faces, ctx_.scenario->faces,
+                                 *ctx_.boundary, ctx_.origin, base_level());
             break;
         case plan::Op::KernelStencil:
         case plan::Op::KernelFace: {

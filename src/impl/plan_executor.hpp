@@ -15,7 +15,6 @@
 
 #include "core/boundary.hpp"
 #include "core/coeff_cache.hpp"
-#include "core/fused.hpp"
 #include "core/rows.hpp"
 #include "impl/config.hpp"
 #include "impl/exchange.hpp"
@@ -80,13 +79,10 @@ class PlanExecutor {
     /// run_task under a chaos session: retries launches the injector failed
     /// (each retry draws a fresh occurrence, so retries terminate).
     void run_task_retrying(const plan::Task& task, std::size_t index);
-    /// Parallel work units of a Stencil task: its fused tiles when it
-    /// fuses, else its rows.
-    [[nodiscard]] std::int64_t units(std::size_t index) const;
-    /// The one sweep dispatch, which both execution modes drain: units
-    /// [lo, hi) of Stencil task `index` on worker `tid`. A fused Stencil
-    /// advances cache-sized tiles `fuse` steps through the worker's scratch
-    /// (docs/PERF.md "Temporal blocking"); an unfused one runs rows through
+    /// The one sweep dispatch, which both execution modes drain: rows
+    /// [lo, hi) of Stencil task `index`. A fused Stencil advances them
+    /// `fuse` steps at once through core::apply_stencil_chain_rows
+    /// (docs/PERF.md "Temporal blocking"); an unfused one runs
     /// core::apply_stencil_rows or apply_stencil_var_rows, which finish
     /// each row with the manufactured source and, in a wrap_halo_ plan,
     /// its periodic images in nxt's halo (core::wrap_periodic_row), so
@@ -96,9 +92,7 @@ class PlanExecutor {
     /// cur and nxt (Field3::swap), which is exact because every host point
     /// outside the Copy regions is rewritten before it is next read
     /// (plan::StepPlan::validate_error).
-    void sweep(std::size_t index, std::int64_t lo, std::int64_t hi, int tid);
-    /// Per-thread scratch slice for apply_fused_tile.
-    [[nodiscard]] std::span<double> scratch(int thread_id);
+    void sweep(std::size_t index, std::int64_t lo, std::int64_t hi);
     [[nodiscard]] gpu::Stream& stream(int index);
     /// True when a manufactured source is wired and active.
     [[nodiscard]] bool has_source() const {
@@ -121,11 +115,6 @@ class PlanExecutor {
     /// permuting compute tasks within their dependencies.
     std::vector<std::size_t> order_;
     std::vector<core::RowSpace> rows_;  ///< per task; empty where unused
-    /// Per task: the fused tile decomposition of a Stencil with
-    /// payload.fuse > 1 (empty elsewhere).
-    std::vector<core::FusedSweepPlan> fused_;
-    std::vector<double> scratch_;       ///< per-thread fused-tile scratch
-    std::size_t scratch_stride_ = 0;    ///< doubles per thread in scratch_
     std::vector<std::size_t> stages_;   ///< TeamStages: Stencil tasks
     int master_task_ = -1;              ///< TeamStages: MasterExchange task
     /// TeamStages: the Copy task, flipped by the rank thread after the

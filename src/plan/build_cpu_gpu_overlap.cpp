@@ -31,7 +31,7 @@ StepPlan build_cpu_gpu_overlap(const BuildParams& p) {
             std::to_string(p.box_thickness) +
             " (the fuse-deep CPU/GPU shells must stay within the walls)");
     const core::BoxPartition box(p.local, p.box_thickness, p.fuse);
-    // The deep interior launches before any halo traffic: fused tiles read
+    // The deep interior launches before any halo traffic: fused rows read
     // at most `fuse` beyond their write set, so it must recede by fuse.
     const core::Range3 block_interior = core::expand(box.gpu_block(), -p.fuse);
     const std::vector<core::Range3> block_shell =

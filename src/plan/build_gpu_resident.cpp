@@ -40,9 +40,9 @@ StepPlan build_gpu_resident(const BuildParams& p) {
         if ((p.open_faces & (3u << (2 * d))) != 0) {
             Payload bf;
             bf.dim = d;
-            bf.bytes = core::boundary_fill_count(p.local, d, p.fuse,
-                                                 p.open_faces) *
-                       sizeof(double);
+            bf.bytes =
+                core::boundary_fill_count(p.local, d, 1, p.open_faces) *
+                sizeof(double);
             last = w.add(std::string("boundary_") + kDimName[d],
                          Op::KernelBoundary, trace::Lane::Gpu, {last}, bf);
         }

@@ -50,7 +50,7 @@ StepPlan build_mpi_bulk(const BuildParams& p) {
         unpack.bytes = 2 * b;
         last = w.add(std::string("unpack_") + kDimName[d], Op::Unpack,
                      trace::Lane::Cpu, {cm}, unpack);
-        last = add_boundary_dim(w, p.local, d, last, p.fuse);
+        last = add_boundary_dim(w, p.local, d, last);
     }
 
     Payload st;

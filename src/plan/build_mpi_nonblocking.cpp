@@ -18,7 +18,7 @@ StepPlan build_mpi_nonblocking(const BuildParams& p) {
     w.plan.uses_comm = true;
     set_scenario(w, p);
 
-    // Deep interior [fuse, n-fuse)^3: fused overlap tiles read at most
+    // Deep interior [fuse, n-fuse)^3: fused overlap rows read at most
     // `fuse` beyond their write set, so in-flight halos are never touched.
     const core::InteriorBoundary parts =
         core::partition_interior_boundary(p.local, p.fuse);

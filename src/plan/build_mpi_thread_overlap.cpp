@@ -39,9 +39,9 @@ StepPlan build_mpi_thread_overlap(const BuildParams& p) {
         Payload bf;
         bf.dim = -1;
         for (int d = 0; d < 3; ++d)
-            bf.bytes += core::boundary_fill_count(p.local, d, p.fuse,
-                                                  p.open_faces) *
-                        sizeof(double);
+            bf.bytes +=
+                core::boundary_fill_count(p.local, d, 1, p.open_faces) *
+                sizeof(double);
         master = w.add("boundary_fill", Op::BoundaryFill, trace::Lane::Cpu,
                        {master}, bf);
     }

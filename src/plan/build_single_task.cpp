@@ -32,7 +32,7 @@ StepPlan build_single_task(const BuildParams& p) {
                          trace::Lane::Cpu,
                          last < 0 ? std::vector<int>{} : std::vector<int>{last},
                          halo);
-            last = add_boundary_dim(w, p.local, d, last, p.fuse);
+            last = add_boundary_dim(w, p.local, d, last);
         }
         hf = last;
     }

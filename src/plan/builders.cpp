@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "core/boundary.hpp"
-#include "core/fused.hpp"
+#include "core/box_partition.hpp"
 #include "core/halo.hpp"
 
 namespace advect::plan {
@@ -56,7 +56,10 @@ core::Range3 whole(const core::Extents3& local) {
 void set_fused(Payload& payload, int fuse) {
     if (fuse <= 1) return;
     payload.fuse = fuse;
-    payload.fused_points = core::fused_point_count(payload.regions, fuse);
+    payload.fused_points = 0;
+    for (const core::Range3& r : payload.regions)
+        for (int s = 1; s <= fuse; ++s)
+            payload.fused_points += core::expand(r, fuse - s).volume();
 }
 
 int Writer::add(std::string name, Op op, trace::Lane lane,
@@ -78,22 +81,27 @@ StepPlan Writer::finish() && {
 }
 
 void set_scenario(Writer& w, const BuildParams& p) {
-    if (p.var_coeff && p.fuse > 1)
+    if (p.fuse > 1 && p.var_coeff)
         throw FuseGeometryError(
-            "variable-coefficient plans require fuse = 1 (the fused "
-            "wavefront has no per-level coefficient phases)");
+            "fuse factor " + std::to_string(p.fuse) +
+            " needs constant coefficients (the register chain has one "
+            "coefficient per step, not one per cell)");
+    if (p.fuse > 1 && p.open_faces != 0)
+        throw FuseGeometryError(
+            "fuse factor " + std::to_string(p.fuse) +
+            " needs every face periodic (an open face's boundary data "
+            "changes every step)");
     w.plan.open_faces = p.open_faces;
     w.plan.var_coeff = p.var_coeff;
 }
 
-int add_boundary_dim(Writer& w, const core::Extents3& local, int dim, int dep,
-                     int depth) {
+int add_boundary_dim(Writer& w, const core::Extents3& local, int dim,
+                     int dep) {
     const unsigned open = w.plan.open_faces;
     if ((open & (3u << (2 * dim))) == 0) return dep;
     Payload b;
     b.dim = dim;
-    b.bytes =
-        core::boundary_fill_count(local, dim, depth, open) * sizeof(double);
+    b.bytes = core::boundary_fill_count(local, dim, 1, open) * sizeof(double);
     return w.add(std::string("boundary_") + kDimName[dim], Op::BoundaryFill,
                  trace::Lane::Cpu, {dep}, b);
 }
@@ -125,7 +133,7 @@ int add_bulk_exchange(Writer& w, const core::Extents3& local,
         unpack.bytes = 2 * b;
         last = w.add(std::string("unpack_") + kDimName[d], Op::Unpack,
                      trace::Lane::Cpu, {c}, unpack);
-        last = add_boundary_dim(w, local, d, last, depth);
+        last = add_boundary_dim(w, local, d, last);
     }
     return last;
 }
@@ -164,7 +172,7 @@ int add_overlapped_dim(Writer& w, const core::Extents3& local, int dim,
     unpack.bytes = 2 * b;
     const int up = w.add(std::string("unpack_") + kDimName[dim], Op::Unpack,
                          trace::Lane::Cpu, {wt}, unpack);
-    return add_boundary_dim(w, local, dim, up, fuse);
+    return add_boundary_dim(w, local, dim, up);
 }
 
 }  // namespace detail

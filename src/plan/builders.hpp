@@ -26,17 +26,20 @@ struct BuildParams {
     /// `fuse` time steps from a fuse-deep halo exchanged once (docs/PERF.md
     /// "Temporal blocking"). 1 builds the classic single-step plans,
     /// byte-identical to before fusing existed. Builders throw
-    /// FuseGeometryError when the geometry cannot carry the factor.
+    /// FuseGeometryError when the geometry cannot carry the factor, and
+    /// for fuse > 1 with open faces or variable coefficients. Whether the
+    /// coefficients compact to the one live term the fused kernel needs is
+    /// not theirs to see: impl::plan_job decides that for a whole job.
     int fuse = 1;
     /// Open-face bitmask of the *local* block (core::local_open_faces):
-    /// builders emit a boundary_<dim> / kernel-boundary task after each open
-    /// dimension's exchange stage. 0 (the default) builds the all-periodic
-    /// plans byte-identical to before scenarios existed.
+    /// builders emit a boundary_<dim> / kernel-boundary task, one layer
+    /// deep, after each open dimension's exchange stage. 0 (the default)
+    /// builds the all-periodic plans byte-identical to before scenarios
+    /// existed. Requires fuse == 1.
     unsigned open_faces = 0;
     /// Variable-coefficient scenario: stencil tasks read the per-cell
     /// coefficient cache instead of the single constant table. Requires
-    /// fuse == 1 (builders throw FuseGeometryError otherwise: the fused
-    /// wavefront has no per-level coefficient phases).
+    /// fuse == 1.
     bool var_coeff = false;
 };
 
@@ -72,9 +75,11 @@ inline constexpr const char* kDimName[3] = {"x", "y", "z"};
 [[nodiscard]] std::size_t mpi_halo_bytes(const core::Extents3& local,
                                          int depth = 1);
 
-/// Stamp temporal blocking on a compute payload: payload.fuse and the total
-/// fused stencil applications over payload.regions (ghost-zone recomputation
-/// included). A no-op at fuse 1, keeping unfused plans byte-identical.
+/// Stamp temporal blocking on a compute payload: payload.fuse and the
+/// fused stencil applications the model prices over payload.regions — for
+/// each region, sum over levels s = 1..F of |expand(region, F-s)|, the
+/// ghost-zone pyramid of a general fused stencil. A no-op at fuse 1,
+/// keeping unfused plans byte-identical.
 void set_fused(Payload& payload, int fuse);
 
 /// The whole local interior [0, n)^3 as a region.
@@ -92,17 +97,16 @@ class Writer {
 
 /// Stamp the scenario parameters (open faces, coefficient variability) on
 /// the plan under assembly. Call before any exchange helper so the emitted
-/// boundary tasks see the mask. Throws FuseGeometryError for the one
-/// combination no builder supports: variable coefficients under temporal
-/// blocking.
+/// boundary tasks see the mask. Throws FuseGeometryError for the
+/// combinations no builder supports: open faces or variable coefficients
+/// under temporal blocking.
 void set_scenario(Writer& w, const BuildParams& p);
 
-/// Append dimension `dim`'s open-boundary fill after task `dep` when the
-/// plan's open-face mask has faces in that dimension; returns the new chain
-/// tail (just `dep` when the dimension is closed). `depth` is the filled
-/// ghost width (the plan's fuse factor) for byte accounting.
-int add_boundary_dim(Writer& w, const core::Extents3& local, int dim, int dep,
-                     int depth);
+/// Append dimension `dim`'s open-boundary fill (one layer deep) after task
+/// `dep` when the plan's open-face mask has faces in that dimension;
+/// returns the new chain tail (just `dep` when the dimension is closed).
+int add_boundary_dim(Writer& w, const core::Extents3& local, int dim,
+                     int dep);
 
 /// Append the §IV-B serialized bulk exchange: post_recvs, then per dimension
 /// pack -> comm -> unpack, each stage feeding the next. `root_deps` seed

@@ -97,8 +97,7 @@ std::string StepPlan::validate_error() const {
     if (tasks.empty()) return "plan has no tasks";
     if (fuse < 1) return "fuse factor must be >= 1";
     if (var_coeff && fuse > 1)
-        return "variable-coefficient plans require fuse = 1 (the fused "
-               "wavefront has no per-level coefficient phases)";
+        return "variable-coefficient plans require fuse = 1";
     if (terminal < 0 || terminal >= static_cast<int>(tasks.size()))
         return "terminal index out of range";
     std::unordered_set<std::string> names;

@@ -27,10 +27,13 @@
 
 namespace advect::plan {
 
-/// Typed rejection of a fuse factor the geometry cannot carry: the deepened
-/// halo (ghost width = fuse) would exceed the local box extent, or (§IV-H/I)
-/// the CPU wall thickness. Thrown by validate() / the builders; the solver
-/// harness re-throws with the offending rank attached.
+/// Typed rejection of a fuse factor the job cannot carry: the deepened
+/// halo (ghost width = fuse) would exceed the local box extent or (§IV-H/I)
+/// the CPU wall thickness, or the job is not one the register chain can
+/// fuse — open faces or variable coefficients (the builders), dense
+/// coefficients or an active source (impl::plan_job). The message names
+/// the reason; the solver harness adds the offending rank to geometry
+/// rejections.
 class FuseGeometryError : public std::invalid_argument {
   public:
     using std::invalid_argument::invalid_argument;
@@ -94,8 +97,9 @@ struct Payload {
     /// Temporal blocking: steps this compute task advances its regions per
     /// super-step (1 = classic single-step task).
     int fuse = 1;
-    /// Total stencil applications of the fused task including ghost-zone
-    /// recomputation (core::fused_point_count); 0 when fuse == 1 (== points).
+    /// Stencil applications the model prices for the fused task: the
+    /// ghost-zone pyramid of a general fused stencil (detail::set_fused);
+    /// 0 when fuse == 1 (== points).
     std::size_t fused_points = 0;
     Sched schedule = Sched::Static;
     bool boundary_eff = false;  ///< strided boundary pass (model efficiency)
@@ -164,6 +168,7 @@ struct StepPlan {
     /// bit 2*dim+1 = high face; see core::Scenario::open_faces restricted
     /// to the faces this rank touches). 0 = all-periodic, the pinned
     /// default: the plan is then byte-identical to the pre-scenario IR.
+    /// Requires fuse == 1.
     unsigned open_faces = 0;
     /// Variable-coefficient scenario: Stencil/KernelStencil tasks read the
     /// per-cell coefficient cache instead of the single constant table.

@@ -202,19 +202,4 @@ std::string Client::drain() {
     }
 }
 
-void Client::set_gameday(const std::string& scenario) {
-    write_text_frame(fd_, kFrameGameDay, scenario);
-    const wire::Frame frame = read_frame("waiting for game-day ack");
-    if (frame.type == kFrameReject) {
-        const json::Value v = json::parse(text_of(frame), "reject");
-        const json::Value* detail = v.find("detail");
-        throw RejectedError(RejectReason::BadSpec,
-                            detail != nullptr ? detail->str : "(no detail)");
-    }
-    if (frame.type != kFrameSubmitOk)
-        throw std::runtime_error("service: unexpected frame " +
-                                 std::to_string(int(frame.type)) +
-                                 " while awaiting the game-day ack");
-}
-
 }  // namespace advect::service

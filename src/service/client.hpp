@@ -93,9 +93,6 @@ class Client {
     /// afterwards.
     std::string drain();
 
-    /// Switch the live game-day overlay ("" turns it off).
-    void set_gameday(const std::string& scenario);
-
     /// Completion events read while waiting for something else, not yet
     /// claimed by a wait. Tests use this to assert the daemon never routed
     /// another connection's completion here.

@@ -215,26 +215,6 @@ void Daemon::handle_frame(std::size_t conn_index, std::uint8_t type,
             draining_ = true;
             conns_[conn_index].drain_requested = true;
             break;
-        case kFrameGameDay:
-            try {
-                if (text.empty()) {
-                    gameday_.clear();
-                    gameday_plan_ = chaos::FaultPlan{};
-                } else {
-                    gameday_plan_ = chaos::game_day_by_name(text).plan;
-                    gameday_ = text;
-                }
-                json::Value v = json::Value::object();
-                v.set("gameday", json::Value::string(gameday_));
-                send_to_conn(conn_id, kFrameSubmitOk, json::dump(v, 0));
-            } catch (const std::exception& e) {
-                json::Value v = json::Value::object();
-                v.set("reason", json::Value::string(reject_reason_name(
-                                    RejectReason::BadSpec)));
-                v.set("detail", json::Value::string(e.what()));
-                send_to_conn(conn_id, kFrameReject, json::dump(v, 0));
-            }
-            break;
         default: {
             json::Value v = json::Value::object();
             v.set("reason", json::Value::string(

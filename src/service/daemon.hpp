@@ -31,8 +31,7 @@ struct DaemonConfig {
     double quantum_s = 0.0;
     /// Fair-share weights; unlisted tenants default to 1.0.
     std::vector<std::pair<std::string, double>> tenant_weights;
-    /// Start with this game-day overlay active ("" = none). Can also be
-    /// switched at runtime with a kFrameGameDay frame.
+    /// Run with this game-day overlay active ("" = none).
     std::string gameday;
     /// When non-empty, the final SLO report JSON is written here at drain.
     std::string report_path;

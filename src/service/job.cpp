@@ -8,7 +8,9 @@
 #include "chaos/scenario_file.hpp"
 #include "core/json.hpp"
 #include "core/scenario.hpp"
+#include "impl/harness.hpp"
 #include "impl/registry.hpp"
+#include "plan/ir.hpp"
 
 namespace advect::service {
 
@@ -47,6 +49,16 @@ void JobSpec::validate() const {
         (void)fault_plan();
     } catch (const std::exception& e) {
         json::bad_key(origin, "chaos", e.what());
+    }
+    // Lay the job out as the launcher will, so a spec no launcher can run
+    // (a fuse the problem or the rank boxes cannot carry, a geometry that
+    // leaves a rank no GPU block) rejects at admission, not at dispatch.
+    try {
+        (void)impl::plan_job(impl, solver_config());
+    } catch (const plan::FuseGeometryError& e) {
+        json::bad_key(origin, "fuse", e.what());
+    } catch (const std::exception& e) {
+        json::bad_key(origin, "n/ranks", e.what());
     }
 }
 

@@ -32,7 +32,12 @@ struct JobSpec {
     int steps = 8;
     int ranks = 2;     ///< MPI tasks (ignored by single-task impls)
     int threads = 2;   ///< OpenMP threads per task
-    int fuse = 1;      ///< temporal-blocking fuse factor
+    /// Temporal-blocking fuse factor. > 1 is legal only on single-term,
+    /// periodic, source-free jobs (impl::plan_job): the default standard(n)
+    /// problem is Courant 1, a named scenario with open faces or variable
+    /// velocity is not. The cpu_gpu_* implementations also need a CPU box
+    /// at least `fuse` thick, which a spec cannot set, so they run fuse 1.
+    int fuse = 1;
     int block_x = 8;   ///< GPU thread-block tile (small-n friendly)
     int block_y = 4;
     impl::TransportKind transport = impl::TransportKind::InProcess;
@@ -51,7 +56,9 @@ struct JobSpec {
     bool return_state = false;
 
     /// Throws std::invalid_argument naming the bad key when the spec cannot
-    /// be run (unknown impl, non-positive geometry, unknown transport...).
+    /// be run (unknown impl, non-positive geometry, unknown transport...),
+    /// including every job impl::plan_job would refuse to lay out: a
+    /// plan::FuseGeometryError names `fuse`.
     void validate() const;
 
     /// The solver configuration this spec maps to, including the

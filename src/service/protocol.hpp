@@ -17,7 +17,7 @@
 
 namespace advect::service {
 
-/// Service frame types. Client -> daemon: Submit, Status, Drain, GameDay.
+/// Service frame types. Client -> daemon: Submit, Status, Drain.
 /// Daemon -> client: SubmitOk, Reject, Event, State, Report.
 enum ServiceFrame : std::uint8_t {
     kFrameSubmit = 16,    ///< payload: job spec JSON (service/job.hpp)
@@ -28,7 +28,6 @@ enum ServiceFrame : std::uint8_t {
     kFrameStatus = 21,    ///< payload: empty; daemon replies kFrameReport
     kFrameReport = 22,    ///< payload: SLO report JSON (service/slo.hpp)
     kFrameDrain = 23,     ///< payload: empty; reply kFrameReport when done
-    kFrameGameDay = 24,   ///< payload: scenario name; reply SubmitOk/Reject
 };
 
 /// A blocking protocol read that did not complete in time. The client's

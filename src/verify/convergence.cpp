@@ -9,12 +9,11 @@
 
 namespace advect::verify {
 
-OrderStudy convergence_study(const std::string& impl_id, int fuse,
+OrderStudy convergence_study(const std::string& impl_id,
                              const StudyParams& params) {
     const impl::Implementation& im = impl::find_implementation(impl_id);
     OrderStudy study;
     study.impl_id = impl_id;
-    study.fuse = fuse;
     const int n0 = params.grids.front();
     for (const int n : params.grids) {
         impl::SolverConfig cfg;
@@ -46,12 +45,8 @@ OrderStudy convergence_study(const std::string& impl_id, int fuse,
         // Same simulated time on every rung: dt halves as h halves, so the
         // step count doubles.
         cfg.steps = params.coarse_steps * (n / n0);
-        cfg.fuse = fuse;
         cfg.ntasks = params.ntasks;
         cfg.threads_per_task = params.threads;
-        // The CPU box of the hybrid implementations must be at least
-        // fuse-deep (the fused shells live inside the walls).
-        cfg.box_thickness = fuse > 1 ? fuse : 1;
         const impl::SolveResult r = impl::run_plan_solver(im.id, cfg);
         study.points.push_back({n, cfg.steps, r.error});
     }
@@ -70,9 +65,9 @@ OrderStudy convergence_study(const std::string& impl_id, int fuse,
 std::string format_study(const OrderStudy& study) {
     std::string out;
     char line[160];
-    std::snprintf(line, sizeof line,
-                  "%-18s fuse=%d\n%8s %8s %14s %14s\n", study.impl_id.c_str(),
-                  study.fuse, "grid", "steps", "L2 error", "Linf error");
+    std::snprintf(line, sizeof line, "%s\n%8s %8s %14s %14s\n",
+                  study.impl_id.c_str(), "grid", "steps", "L2 error",
+                  "Linf error");
     out += line;
     for (const OrderPoint& p : study.points) {
         std::snprintf(line, sizeof line, "%7d^3 %8d %14.4e %14.4e\n", p.n,

@@ -1,12 +1,13 @@
 #pragma once
 /// \file convergence.hpp
 /// Observed-convergence-order estimation over a grid-refinement sequence
-/// (docs/VERIFICATION.md "Order gates"): run one implementation at one fuse
-/// factor over a ladder of grids integrated to the same simulated time, and
-/// estimate the order p from successive error ratios,
-/// p = log2(e(h) / e(h/2)). ctest gates assert |p - 2| <= 0.2 — the
-/// scheme's formal order for fixed simulated time (paper §II) — for several
-/// implementations at fuse 1 and 4.
+/// (docs/VERIFICATION.md "Order gates"): run one implementation over a
+/// ladder of grids integrated to the same simulated time, and estimate the
+/// order p from successive error ratios, p = log2(e(h) / e(h/2)). ctest
+/// gates assert |p - 2| <= 0.2 — the scheme's formal order for fixed
+/// simulated time (paper §II) — for several implementations. Every
+/// manufactured problem carries a source, so the ladder runs unfused
+/// (impl::plan_job admits fuse > 1 only on source-free jobs).
 
 #include <span>
 #include <string>
@@ -25,7 +26,6 @@ struct OrderPoint {
 
 struct OrderStudy {
     std::string impl_id;
-    int fuse = 1;
     std::vector<OrderPoint> points;  ///< coarse to fine
     /// Observed order from the finest grid pair (the asymptotic estimate).
     double order_l2 = 0.0;
@@ -33,9 +33,7 @@ struct OrderStudy {
 };
 
 /// Which verification problem the ladder runs (docs/SCENARIOS.md). The
-/// scenario regimes reuse the same grids/steps scaling; the two
-/// variable-coefficient regimes require fuse = 1 (the fused wavefront has
-/// no per-level coefficient phases — plan::FuseGeometryError otherwise).
+/// scenario regimes reuse the same grids/steps scaling.
 enum class StudyRegime {
     Constant,           ///< periodic constant velocity (mms / mixed problem)
     SolidBodyRotation,  ///< mms_variable_problem, solid-body rotation
@@ -45,9 +43,7 @@ enum class StudyRegime {
 };
 
 /// Parameters of a study. Every grid must be a multiple of the coarsest
-/// (steps scale linearly so each rung reaches the same simulated time), and
-/// `coarse_steps` should be a multiple of the fuse factors under test so no
-/// rung leans on the unfused remainder path.
+/// (steps scale linearly so each rung reaches the same simulated time).
 struct StudyParams {
     std::vector<int> grids{16, 32, 64};
     int coarse_steps = 8;
@@ -65,10 +61,9 @@ struct StudyParams {
     StudyRegime regime = StudyRegime::Constant;
 };
 
-/// Run the manufactured-solution refinement study for one implementation at
-/// one fuse factor. Throws std::out_of_range for an unknown impl_id.
+/// Run the manufactured-solution refinement study for one implementation.
+/// Throws std::out_of_range for an unknown impl_id.
 [[nodiscard]] OrderStudy convergence_study(const std::string& impl_id,
-                                           int fuse,
                                            const StudyParams& params = {});
 
 /// Format a study as an aligned table (one line per rung plus a header).

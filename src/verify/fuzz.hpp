@@ -56,14 +56,13 @@ struct FuzzCase {
     int block_x = 8;
     int block_y = 4;
     int box_thickness = 1;
-    int fuse = 1;
+    int fuse = 1;  ///< > 1 only on Courant-1 cases (the register chain)
     int tasks_per_gpu = 1;
     core::Velocity3 velocity{1.0, 1.0, 1.0};
     double nu_fraction = 1.0;  ///< of the stability limit
     bool courant_one = false;  ///< exact-shift regime (max-principle oracle)
     bool mms = false;          ///< manufactured source active (mixed mode)
-    /// Velocity-field kind; non-constant kinds force fuse = 1 (the fused
-    /// wavefront has no per-level coefficient phases).
+    /// Velocity-field kind; never varied on Courant-1 cases.
     core::VelocityKind vel_kind = core::VelocityKind::Constant;
     double vel_amplitude = 0.0;  ///< perturbation amplitude for var kinds
     FuzzBoundary boundary = FuzzBoundary::Periodic;

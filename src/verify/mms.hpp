@@ -14,6 +14,10 @@
 ///  * Manufactured source (core/source.hpp): a forced single Fourier mode
 ///    with a known exact solution, fully resolved on even the coarsest
 ///    grids, so observed-order estimates are asymptotic immediately.
+///
+/// Every builder below carries a source, open faces, or more than one live
+/// stencil term, so each runs at fuse 1 only (impl::plan_job throws
+/// plan::FuseGeometryError otherwise).
 
 #include "core/problem.hpp"
 
@@ -43,8 +47,7 @@ namespace advect::verify {
 /// (they are divergence-free, and the source term carries the full
 /// advective correction), so the refinement ladder measures the
 /// variable-coefficient scheme's own truncation error. dt is set so
-/// nu * max|c| = nu_fraction. Requires fuse = 1 (plan::FuseGeometryError
-/// otherwise).
+/// nu * max|c| = nu_fraction.
 [[nodiscard]] core::AdvectionProblem mms_variable_problem(
     int n, core::VelocityKind kind, double nu_fraction = 0.5);
 

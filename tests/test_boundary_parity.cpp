@@ -4,17 +4,15 @@
 ///  1. The periodic constant-velocity default is pinned to the pre-refactor
 ///     state: FNV-1a checksums of the final interior, captured from the seed
 ///     tree before the scenario seam existed, must keep reproducing for all
-///     nine implementations x fuse {1, 4}, with and without the manufactured
-///     source. A refactor that perturbs one bit of the default path fails
-///     loudly here.
+///     nine implementations at fuse {1, 4}, and with the manufactured
+///     source at fuse 1 (a source never fuses: the same jobs at fuse 4 must
+///     throw the typed FuseGeometryError). A refactor that perturbs one bit
+///     of the default path fails loudly here.
 ///  2. Open boundaries and variable coefficients stay bitwise
 ///     implementation-invariant: every implementation (and the socket
 ///     transport, covered by the fuzz corpus) produces the identical state.
-///  3. Fused ghost recomputation at an inflow face is deterministic: all
-///     implementations at fuse 4 agree bitwise with the fused single_task
-///     run (fused open-boundary runs legitimately differ from the unfused
-///     reference by the ghost-extrapolation term; see docs/SCENARIOS.md).
-///  4. The variable-coefficient path is pinned the same way as contract 1:
+///     Neither fuses: every implementation rejects them at fuse > 1.
+///  3. The variable-coefficient path is pinned the same way as contract 1:
 ///     all nine implementations x {solid-body rotation, deformational, the
 ///     rotating-inflow scenario}, captured before the variable sweep moved
 ///     onto the vector row kernel. "Matches run_reference" alone cannot see
@@ -108,15 +106,6 @@ const PinnedHash kPinned[] = {
     {"gpu_mpi_streams", true, 1, 0xc7a0b801e0730adfull},
     {"cpu_gpu_bulk", true, 1, 0xc7a0b801e0730adfull},
     {"cpu_gpu_overlap", true, 1, 0xc7a0b801e0730adfull},
-    {"single_task", true, 4, 0xc7a0b801e0730adfull},
-    {"mpi_bulk", true, 4, 0xc7a0b801e0730adfull},
-    {"mpi_nonblocking", true, 4, 0xc7a0b801e0730adfull},
-    {"mpi_thread_overlap", true, 4, 0xc7a0b801e0730adfull},
-    {"gpu_resident", true, 4, 0xc7a0b801e0730adfull},
-    {"gpu_mpi_bulk", true, 4, 0xc7a0b801e0730adfull},
-    {"gpu_mpi_streams", true, 4, 0xc7a0b801e0730adfull},
-    {"cpu_gpu_bulk", true, 4, 0xc7a0b801e0730adfull},
-    {"cpu_gpu_overlap", true, 4, 0xc7a0b801e0730adfull},
 };
 
 }  // namespace
@@ -130,6 +119,7 @@ TEST(BoundaryParity, PeriodicDefaultBitwisePin) {
         for (const bool mixed : {false, true})
             for (const int fuse : {1, 4})
                 for (const auto& e : impl::registry()) {
+                    if (mixed && fuse > 1) continue;  // a source never fuses
                     const auto cfg = pin_config(mixed, fuse);
                     const auto r = impl::run_plan_solver(e.id, cfg);
                     std::printf("    {\"%s\", %s, %d, 0x%llxull},\n",
@@ -145,6 +135,10 @@ TEST(BoundaryParity, PeriodicDefaultBitwisePin) {
         EXPECT_EQ(interior_hash(r.state), p.hash)
             << p.impl_id << " mixed=" << p.mixed << " fuse=" << p.fuse;
     }
+    for (const auto& e : impl::registry())
+        EXPECT_THROW((void)impl::run_plan_solver(e.id, pin_config(true, 4)),
+                     advect::plan::FuseGeometryError)
+            << e.id << " fused a manufactured source";
 }
 
 namespace {
@@ -294,22 +288,23 @@ TEST(BoundaryParity, VariableThroughInflowMatchesReference) {
     expect_all_match(cfg, reference, "solid-body rotation through inflow-x");
 }
 
-// Contract 3: fused ghost recomputation at open faces is deterministic —
-// every implementation at fuse 4 agrees bitwise with the fused single_task
-// plan. (Fused open-boundary runs recompute ghost zones from base-level
-// boundary data, which legitimately differs from the unfused reference near
-// open faces, so the baseline is an implementation, not run_reference.)
-TEST(BoundaryParity, FusedInflowIsImplementationInvariant) {
+// Open faces never fuse: their boundary data changes every step, which the
+// register chain cannot apply between levels. Every implementation rejects
+// the combination up front.
+TEST(BoundaryParity, OpenBoundariesRejectFusing) {
     for (const auto& problem : {advect::verify::inflow_problem(20),
                                 advect::verify::open_box_problem(20)}) {
         const auto cfg = scenario_config(problem, 4);
-        const auto baseline = impl::run_plan_solver("single_task", cfg).state;
-        expect_all_match(cfg, baseline, "fused open boundary");
+        for (const auto& e : impl::registry())
+            EXPECT_THROW((void)impl::run_plan_solver(e.id, cfg),
+                         advect::plan::FuseGeometryError)
+                << e.id;
     }
 }
 
-// Variable coefficients have no per-level phase inside the fused wavefront:
-// every builder rejects the combination up front.
+// Variable coefficients have one coefficient per cell, not one per step
+// like the register chain: every implementation rejects the combination up
+// front.
 TEST(BoundaryParity, VariableCoefficientsRejectFusing) {
     const auto cfg = scenario_config(
         advect::verify::mms_variable_problem(

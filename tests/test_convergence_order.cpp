@@ -2,11 +2,11 @@
 /// Hard convergence-order gates (docs/VERIFICATION.md "Order gates"): the
 /// observed order on the manufactured-solution refinement ladder
 /// {16, 32, 64}^3 must sit within 0.2 of the scheme's formal order 2, for a
-/// CPU, an MPI, and a GPU implementation, each at fuse 1 and fuse 4. The
-/// source hook is threaded through every execution path (reference loop,
-/// host stencil tasks, fused ring pipeline, GPU kernels), so a sign error,
-/// a mis-leveled source add, or a fused ghost-zone bug shows up here as an
-/// order collapse even when the implementations still agree bitwise.
+/// CPU, an MPI, a GPU and a hybrid implementation. The source hook is
+/// threaded through every execution path (reference loop, host row
+/// epilogue, GPU kernels), so a sign error or a mis-leveled source add
+/// shows up here as an order collapse even when the implementations still
+/// agree bitwise. Manufactured problems carry a source, so they never fuse.
 
 #include <gtest/gtest.h>
 
@@ -18,16 +18,10 @@ namespace verify = advect::verify;
 
 namespace {
 
-struct GateCase {
-    const char* impl;
-    int fuse;
-};
-
-class OrderGate : public ::testing::TestWithParam<GateCase> {};
+class OrderGate : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(OrderGate, ObservedOrderIsSecond) {
-    const auto [impl, fuse] = GetParam();
-    const auto study = verify::convergence_study(impl, fuse);
+    const auto study = verify::convergence_study(GetParam());
     ASSERT_EQ(study.points.size(), 3u);
     // Errors must actually shrink down the ladder (guards against a
     // vacuous gate where the error saturates at roundoff or blows up).
@@ -40,25 +34,18 @@ TEST_P(OrderGate, ObservedOrderIsSecond) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ImplAndFuse, OrderGate,
-    ::testing::Values(GateCase{"single_task", 1}, GateCase{"single_task", 4},
-                      GateCase{"mpi_nonblocking", 1},
-                      GateCase{"mpi_nonblocking", 4},
-                      GateCase{"gpu_resident", 1},
-                      GateCase{"gpu_resident", 4},
-                      // The hybrid box implementation needs box >= fuse;
-                      // fuse 2 is the deepest a 16^3 coarse rung carries.
-                      GateCase{"cpu_gpu_overlap", 2}),
-    [](const ::testing::TestParamInfo<GateCase>& info) {
-        return std::string(info.param.impl) + "_fuse" +
-               std::to_string(info.param.fuse);
+    Impl, OrderGate,
+    ::testing::Values("single_task", "mpi_nonblocking", "gpu_resident",
+                      "cpu_gpu_overlap"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+        return std::string(info.param);
     });
 
 // Scenario order gates (docs/SCENARIOS.md): the variable-coefficient
 // scheme (midpoint-traced velocity, per-row coefficient cache) and the
 // Dirichlet-inflow boundary fill must not cost the scheme its order. Each
-// regime runs the same {16, 32, 64}^3 ladder; the variable-coefficient
-// regimes require fuse = 1. The implementations chosen cover the three
+// regime runs the same {16, 32, 64}^3 ladder. The implementations chosen
+// cover the three
 // distinct execution paths of the new code: host stencil rows
 // (single_task), distributed boundary fill (mpi_nonblocking), and the
 // device variable-coefficient kernel (gpu_resident).
@@ -75,7 +62,7 @@ TEST_P(ScenarioOrderGate, ObservedOrderIsSecond) {
     const auto& c = GetParam();
     verify::StudyParams params;
     params.regime = c.regime;
-    const auto study = verify::convergence_study(c.impl, 1, params);
+    const auto study = verify::convergence_study(c.impl, params);
     ASSERT_EQ(study.points.size(), 3u);
     for (std::size_t i = 1; i < study.points.size(); ++i) {
         EXPECT_LT(study.points[i].error.l2, study.points[i - 1].error.l2);
@@ -110,7 +97,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(OrderGateMixed, MixedProblemConverges) {
     verify::StudyParams params;
     params.mixed = true;
-    const auto study = verify::convergence_study("single_task", 1, params);
+    const auto study = verify::convergence_study("single_task", params);
     ASSERT_EQ(study.points.size(), 3u);
     for (std::size_t i = 1; i < study.points.size(); ++i)
         EXPECT_LT(study.points[i].error.l2, study.points[i - 1].error.l2)

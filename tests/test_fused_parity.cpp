@@ -1,20 +1,23 @@
 // Temporal blocking must be invisible to the numerics: for every
 // implementation of paper §IV and every fuse factor, the fused solver must
 // produce exactly the bits of the unfused one (docs/PERF.md "Temporal
-// blocking"). The fused tiles recompute the redundant halo pyramid with the
-// same row kernel and the same operand order as the plain sweep, so equality
-// here is bitwise, not approximate. Cases cover odd box shapes, step counts
-// not divisible by the fuse factor (the remainder runs unfused), and step
-// counts smaller than the fuse factor (everything runs unfused).
+// blocking"). The only fused kernel is the single-term register chain,
+// which runs each point's level sequence with the same operations in the
+// same order as the plain row sweep, so equality here is bitwise, not
+// approximate. Cases cover odd box shapes, step counts not divisible by
+// the fuse factor (the remainder runs unfused), and step counts smaller
+// than the fuse factor (everything runs unfused).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "core/coefficients.hpp"
-#include "core/fused.hpp"
 #include "core/problem.hpp"
+#include "core/rows.hpp"
 #include "core/stencil.hpp"
 #include "impl/harness.hpp"
 #include "impl/registry.hpp"
@@ -83,61 +86,78 @@ INSTANTIATE_TEST_SUITE_P(
                       FuseCase{13, 7, 2})); // prime domain and step count
 
 // ---------------------------------------------------------------------------
-// Register-chain path: Courant-1 tensor coefficients compact to a single
-// surviving stencil term, and the fused engine then collapses the whole
-// pyramid into a per-point register chain (no ring, no redundant halo
-// compute). That shortcut must still match the dense 27-term reference
-// arithmetic bit for bit, level by level.
+// The register chain over the executor's row path: Courant-1 tensor
+// coefficients compact to a single surviving stencil term, and
+// apply_stencil_chain_rows advances each run of consecutive rows `fuse`
+// steps in one chain call. Whatever the region shapes (whole planes, the
+// thin slabs and x-pencils of a boundary shell) and however the rows are
+// chunked, it must match the dense 27-term reference arithmetic bit for
+// bit, level by level.
 
 TEST(FusedChain, SingleTermPlanMatchesLevelByLevelReference) {
     const int n = 14;
-    const auto a = core::tensor_product_coeffs({1, 1, 1}, 1.0);
-    for (int fuse = 2; fuse <= 4; ++fuse) {
-        core::Field3 cur({n, n, n}, fuse);
-        // Deterministic, varied, finite data everywhere including halos.
-        for (int k = -fuse; k < n + fuse; ++k)
-            for (int j = -fuse; j < n + fuse; ++j)
-                for (int i = -fuse; i < n + fuse; ++i)
-                    cur(i, j, k) =
-                        0.25 + 0.017 * i - 0.003 * j * k + 0.0011 * i * j;
-        core::Field3 in = cur;
-        ASSERT_EQ(core::StencilPlan::make(a, in).terms, 1)
-            << "Courant-1 coefficients should compact to one term";
+    for (const core::Velocity3 c : {core::Velocity3{1, 1, 1},
+                                    core::Velocity3{-1, 1, -1}}) {
+        const auto a = core::tensor_product_coeffs(c, 1.0);
+        for (int fuse = 2; fuse <= 4; ++fuse) {
+            core::Field3 cur({n, n, n}, fuse);
+            // Deterministic, varied, finite data everywhere including halos.
+            for (int k = -fuse; k < n + fuse; ++k)
+                for (int j = -fuse; j < n + fuse; ++j)
+                    for (int i = -fuse; i < n + fuse; ++i)
+                        cur(i, j, k) = 0.25 + 0.017 * i - 0.003 * j * k +
+                                       0.0011 * i * j;
+            const core::Field3 in = cur;
+            ASSERT_EQ(core::StencilPlan::make(a, in).terms, 1)
+                << "Courant-1 coefficients should compact to one term";
 
-        // Level-by-level reference via the scalar reference arithmetic:
-        // level s covers expand(interior, fuse - s), exactly the fused
-        // pyramid.
-        core::Field3 nxt({n, n, n}, fuse);
-        for (int s = 1; s <= fuse; ++s) {
-            const int d = fuse - s;
-            for (int k = -d; k < n + d; ++k)
-                for (int j = -d; j < n + d; ++j)
-                    for (int i = -d; i < n + d; ++i)
-                        nxt(i, j, k) = core::stencil_point(a, cur, i, j, k);
-            cur.swap(nxt);
+            // Level-by-level reference via the scalar reference arithmetic:
+            // level s covers expand(interior, fuse - s), the points the
+            // final level depends on.
+            core::Field3 nxt({n, n, n}, fuse);
+            for (int s = 1; s <= fuse; ++s) {
+                const int d = fuse - s;
+                for (int k = -d; k < n + d; ++k)
+                    for (int j = -d; j < n + d; ++j)
+                        for (int i = -d; i < n + d; ++i)
+                            nxt(i, j, k) = core::stencil_point(a, cur, i, j, k);
+                cur.swap(nxt);
+            }
+
+            // The interior/boundary split the overlap plans sweep, so runs
+            // break at region edges, at plane ends and at chunk edges.
+            const core::InteriorBoundary parts =
+                core::partition_interior_boundary({n, n, n}, fuse);
+            std::vector<core::Range3> regions = parts.boundary;
+            regions.push_back(parts.interior);
+            const core::RowSpace rows(regions);
+            ASSERT_EQ(rows.points(), in.interior().volume());
+            core::Field3 out({n, n, n}, fuse);
+            for (std::int64_t lo = 0; lo < rows.size();) {
+                const std::int64_t hi =
+                    std::min<std::int64_t>(rows.size(), lo + 5 + lo % 11);
+                core::apply_stencil_chain_rows(a, in, out, rows, lo, hi,
+                                               fuse);
+                lo = hi;
+            }
+            for (int k = 0; k < n; ++k)
+                for (int j = 0; j < n; ++j)
+                    for (int i = 0; i < n; ++i)
+                        ASSERT_EQ(out(i, j, k), cur(i, j, k))
+                            << "fuse=" << fuse << " at (" << i << "," << j
+                            << "," << k << ")";
         }
-
-        const core::FusedSweepPlan plan({in.interior()}, fuse);
-        std::vector<double> scratch(plan.scratch_doubles());
-        core::Field3 out({n, n, n}, fuse);
-        core::apply_fused_sweep(a, in, out, plan, scratch);
-        for (int k = 0; k < n; ++k)
-            for (int j = 0; j < n; ++j)
-                for (int i = 0; i < n; ++i)
-                    ASSERT_EQ(out(i, j, k), cur(i, j, k))
-                        << "fuse=" << fuse << " at (" << i << "," << j << ","
-                        << k << ")";
     }
 }
 
 TEST(FusedChain, CourantOneThroughEveryImplementation) {
-    // End-to-end: with nu forced to Courant 1 the solvers' fused plans take
-    // the chain path; every implementation must still match its unfused run
-    // bit for bit.
+    // End-to-end on a Courant-1 shift against the flow's other diagonal:
+    // every implementation's fused plan must match its unfused run and the
+    // serial reference bit for bit.
     const FuseCase c{12, 6, 3};
     for (const auto& entry : impl::registry()) {
         auto cfg = base_config(c);
-        cfg.problem.nu = 1.0;  // Courant 1: single-term compacted plan
+        cfg.problem.velocity = {-1.0, 1.0, -1.0};  // nu = 1: one live term
         cfg.ntasks = entry.uses_mpi ? 2 : 1;
         if (entry.id.rfind("cpu_gpu", 0) == 0) {
             cfg.ntasks = 1;
@@ -149,6 +169,9 @@ TEST(FusedChain, CourantOneThroughEveryImplementation) {
         const auto plain = impl::run_plan_solver(entry.id, plain_cfg);
         EXPECT_TRUE(fused.state.interior_equals(plain.state))
             << entry.id << " chain path diverges from its unfused run";
+        const auto ref = core::run_reference(cfg.problem, cfg.steps);
+        EXPECT_TRUE(fused.state.interior_equals(ref))
+            << entry.id << " chain path diverges from the reference";
     }
 }
 

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/coeff_cache.hpp"
-#include "core/fused.hpp"
 #include "core/halo.hpp"
 #include "core/problem.hpp"
 #include "core/rows.hpp"

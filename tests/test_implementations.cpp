@@ -26,6 +26,7 @@
 #include "msg/comm.hpp"
 #include "omp/thread_team.hpp"
 #include "plan/builders.hpp"
+#include "verify/mms.hpp"
 
 namespace core = advect::core;
 namespace impl = advect::impl;
@@ -313,6 +314,63 @@ TEST(PlanJob, FuseGeometryErrorNamesTheThinRank) {
     }
     // The same job as a one-rank layout keeps the whole 7^3 box.
     EXPECT_EQ(impl::plan_job("single_task", cfg).plans[0].fuse, 4);
+}
+
+// Fusing is legal only where the single-term register chain runs: a
+// periodic, constant-coefficient, source-free problem whose coefficients
+// compact to one live term. plan_job decides that once per job, before any
+// rank starts, and names the reason it refuses.
+TEST(PlanJob, FuseIsLegalOnlyOnSingleTermPeriodicSourceFreeJobs) {
+    const auto scenario_problem = [](const char* name) {
+        auto p = core::AdvectionProblem::standard(12);
+        p.scenario = core::scenario_by_name(name);
+        if (!p.constant_coefficients())
+            p.nu = 0.5 / p.velocity_field().max_abs();
+        return p;
+    };
+    auto dense = core::AdvectionProblem::standard(12);
+    dense.velocity = {1.0, 0.5, 0.25};
+    dense.nu = 0.4;
+    const struct {
+        core::AdvectionProblem problem;
+        const char* reason;
+    } refused[] = {
+        {dense, "live terms"},
+        {advect::verify::mms_mixed_problem(12, 0.5), "source"},
+        {scenario_problem("inflow-x"), "periodic"},
+        {scenario_problem("rotating-inflow"), "constant coefficients"},
+    };
+    for (const auto& c : refused)
+        for (const char* id : {"single_task", "mpi_bulk", "gpu_resident"}) {
+            auto cfg = base_config(12, 4);
+            cfg.problem = c.problem;
+            cfg.ntasks = 2;
+            cfg.fuse = 2;
+            try {
+                (void)impl::plan_job(id, cfg);
+                ADD_FAILURE() << id << ": expected FuseGeometryError ("
+                              << c.reason << ")";
+            } catch (const plan::FuseGeometryError& e) {
+                const std::string what = e.what();
+                EXPECT_NE(what.find("fuse factor 2"), std::string::npos)
+                    << what;
+                EXPECT_NE(what.find(c.reason), std::string::npos)
+                    << id << ": " << what;
+            }
+            cfg.fuse = 1;
+            EXPECT_NO_THROW((void)impl::plan_job(id, cfg)) << id;
+        }
+
+    // The paper's standard(n) problem is Courant 1: every implementation
+    // lays it out fused.
+    for (const auto& entry : impl::registry()) {
+        auto cfg = base_config(12, 4);
+        cfg.ntasks = 2;
+        cfg.fuse = 2;
+        cfg.box_thickness = 2;  // §IV-H/I: fuse-deep shells inside the walls
+        const impl::PlanJob job = impl::plan_job(entry.id, cfg);
+        for (const auto& p : job.plans) EXPECT_EQ(p.fuse, 2) << entry.id;
+    }
 }
 
 // ---------------------------------------------------------------------------

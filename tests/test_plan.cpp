@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "plan/builders.hpp"
 
@@ -242,6 +243,30 @@ TEST(PlanFuse, GeometryErrorNamesTheBox) {
         const std::string what = e.what();
         EXPECT_NE(what.find("fuse factor 3"), std::string::npos) << what;
         EXPECT_NE(what.find("9x9x2"), std::string::npos) << what;
+    }
+}
+
+TEST(PlanFuse, OpenFacesAndVariableCoefficientsRejectFusing) {
+    // The register chain fuses only periodic constant-coefficient sweeps;
+    // every builder refuses the rest at any fuse factor above 1.
+    for (const char* id : kIds) {
+        const plan::BuildParams open{{12, 12, 12}, 2, 2, /*open_faces=*/3u};
+        const plan::BuildParams var{{12, 12, 12}, 2, 2, 0u, /*var=*/true};
+        for (const auto& [params, reason] :
+             {std::pair{open, "periodic"},
+              std::pair{var, "constant coefficients"}}) {
+            try {
+                (void)plan::build_step_plan(id, params);
+                ADD_FAILURE() << id << ": expected FuseGeometryError";
+            } catch (const plan::FuseGeometryError& e) {
+                EXPECT_NE(std::string(e.what()).find(reason),
+                          std::string::npos)
+                    << id << ": " << e.what();
+            }
+            auto unfused = params;
+            unfused.fuse = 1;
+            EXPECT_NO_THROW((void)plan::build_step_plan(id, unfused)) << id;
+        }
     }
 }
 

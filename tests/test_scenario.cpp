@@ -226,7 +226,7 @@ void fill_all(core::Field3& f, unsigned open,
               int level) {
     for (int d = 0; d < 3; ++d) {
         core::fill_periodic_halo_dim(f, d);
-        core::fill_boundary_dim(f, d, 0, open, faces, bf, origin, level);
+        core::fill_boundary_dim(f, d, open, faces, bf, origin, level);
     }
 }
 

@@ -225,7 +225,7 @@ TEST(JobSpec, JsonRoundTripPreservesEveryField) {
     spec.priority = 3;
     spec.deadline_s = 9.5;
     spec.fuse = 2;
-    spec.scenario = "rotating";
+    spec.scenario = "periodic";
     spec.chaos = "nic-jitter";
     spec.chaos_x = 123.0;
     spec.chaos_seed = 7;
@@ -289,6 +289,41 @@ TEST(JobSpec, DeeplyNestedValueIsATypedErrorNotACrash) {
     };
     EXPECT_NO_THROW((void)json::parse(nest(64)));
     EXPECT_THROW((void)json::parse(nest(65)), std::invalid_argument);
+}
+
+TEST(JobSpec, SpecsNoLauncherCanLayOutRejectNamingFuse) {
+    // Both used to pass validate() and admission, queue, and fail at
+    // dispatch: a spec has no box key, so cpu_gpu_* keeps a 1-thick CPU box
+    // that a 2-deep fused shell cannot fit in, and rotating-inflow has
+    // variable coefficients and open faces, which never fuse.
+    service::JobSpec box = small_spec("t");
+    box.impl = "cpu_gpu_overlap";
+    box.n = 24;
+    box.fuse = 2;
+    service::JobSpec scen = small_spec("t");
+    scen.impl = "single_task";
+    scen.n = 16;
+    scen.scenario = "rotating-inflow";
+    scen.fuse = 2;
+    for (service::JobSpec spec : {box, scen}) {
+        try {
+            spec.validate();
+            ADD_FAILURE() << spec.impl << ": expected invalid_argument";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("job: fuse:"),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_THROW((void)service::job_from_json(service::job_to_json(spec)),
+                     std::invalid_argument);
+        spec.fuse = 1;
+        EXPECT_NO_THROW(spec.validate()) << spec.impl;
+    }
+    // A fused Courant-1 job on the default periodic problem is legal.
+    service::JobSpec fused = small_spec("t");
+    fused.impl = "single_task";
+    fused.fuse = 2;
+    EXPECT_NO_THROW(fused.validate());
 }
 
 TEST(JobSpec, FaultPlanResolution) {

@@ -118,12 +118,28 @@ TEST(ServiceE2e, TypedRejectsOverTheWire) {
         EXPECT_NE(e.detail().find("impl"), std::string::npos);
     }
 
+    // A spec the launcher could never lay out rejects at submit time, not
+    // at dispatch: rotating-inflow (variable velocity, open x faces) never
+    // fuses.
+    service::JobSpec unfusable = small_spec("t");
+    unfusable.impl = "single_task";
+    unfusable.n = 16;
+    unfusable.scenario = "rotating-inflow";
+    unfusable.fuse = 2;
+    try {
+        (void)client.submit(unfusable);
+        FAIL() << "expected RejectedError";
+    } catch (const service::RejectedError& e) {
+        EXPECT_EQ(e.reason(), service::RejectReason::BadSpec);
+        EXPECT_NE(e.detail().find("fuse"), std::string::npos) << e.detail();
+    }
+
     const std::string report = client.drain();
     fx.server.join();
     ASSERT_FALSE(fx.error);
     const service::SloReport r = service::report_from_json(report);
     // The deadline reject is attributed to the tenant (its spec parsed);
-    // the bad spec never parsed, so it lands on the "<unknown>" account.
+    // the bad specs never parsed, so they land on the "<unknown>" account.
     int rejected_deadline = 0, rejected_bad = 0;
     for (const auto& t : r.tenants) {
         rejected_deadline += t.rejected_deadline;
@@ -133,7 +149,7 @@ TEST(ServiceE2e, TypedRejectsOverTheWire) {
         }
     }
     EXPECT_EQ(rejected_deadline, 1);
-    EXPECT_EQ(rejected_bad, 1);
+    EXPECT_EQ(rejected_bad, 2);
     EXPECT_EQ(r.admitted, 0);
 }
 
@@ -192,8 +208,8 @@ TEST(ServiceE2e, NestedSubmitFrameIsRejectedAndTheDaemonServesOn) {
     // One submit frame of 40 000 nested arrays (about 80 KB, well under the
     // daemon's inbound frame bound) used to overflow the spec parser's
     // stack, ending the daemon and every tenant's queue with it. It must
-    // get a typed bad-spec reject, and the same daemon must then complete
-    // another tenant's job.
+    // get a typed bad-spec reject, as must a frame of an unknown type, and
+    // the same daemon must then complete another tenant's job.
     service::DaemonConfig dc;
     dc.socket_path = unique_socket("nested");
     DaemonFixture fx(dc);
@@ -212,6 +228,17 @@ TEST(ServiceE2e, NestedSubmitFrameIsRejectedAndTheDaemonServesOn) {
     EXPECT_NE(text.find("bad-spec"), std::string::npos) << text;
     EXPECT_NE(text.find("nesting deeper than 64 levels"), std::string::npos)
         << text;
+
+    // Frame type 24 once switched the game-day overlay at runtime; it is
+    // now an unknown frame like any other.
+    service::write_text_frame(rogue, 24, "gameday-nic-burst");
+    ASSERT_TRUE(service::read_frame_timeout(rogue, reply, 60.0,
+                                            "type-24 frame reply"));
+    EXPECT_EQ(reply.type, service::kFrameReject);
+    const std::string unknown(reply.payload.begin(), reply.payload.end());
+    EXPECT_NE(unknown.find("bad-spec"), std::string::npos) << unknown;
+    EXPECT_NE(unknown.find("unknown frame type 24"), std::string::npos)
+        << unknown;
     ::close(rogue);
 
     const std::uint64_t id = client.submit(small_spec("t"));

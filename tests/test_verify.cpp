@@ -31,11 +31,10 @@ core::SourceField test_source_field(int n) {
     return core::make_source_field(p);
 }
 
-// Q must be bitwise-periodic in the global index: fused ghost-zone
-// recomputation evaluates the source at wrapped neighbour indices, and the
-// owning rank evaluates it at the in-range index. sin/cos are not bitwise
-// periodic in floating point, so the field wraps indices before forming
-// coordinates — this is the property that keeps fused runs bitwise equal.
+// Q must be bitwise-periodic in the global index: a point's periodic image
+// evaluates the source at a wrapped index, and the owning rank evaluates it
+// at the in-range index. sin/cos are not bitwise periodic in floating
+// point, so the field wraps indices before forming coordinates.
 TEST(SourceField, BitwisePeriodicInGlobalIndex) {
     const auto sf = test_source_field(12);
     for (int level : {1, 3, 7}) {
@@ -79,32 +78,23 @@ TEST(SourceField, IncrementMatchesSecondOrderExpansion) {
 
 // ---------------------------------------------------------------------------
 // Cross-implementation parity with the source active: the manufactured
-// increment is added identically on every execution path — host stencil
-// tasks, TeamStages drains, the fused ring pipeline, and the GPU kernels.
+// increment is added identically on every execution path — host row
+// epilogues, TeamStages drains, and the GPU kernels. A source never fuses
+// (impl::plan_job), so this runs at fuse 1.
 
-class MmsParity : public ::testing::TestWithParam<int> {};
-
-TEST_P(MmsParity, AllImplementationsMatchReferenceWithSource) {
-    const int fuse = GetParam();
+TEST(MmsParity, AllImplementationsMatchReferenceWithSource) {
     impl::SolverConfig cfg;
-    // n = 16: the box implementations need local extents that hold a
-    // fuse-deep box around a non-empty GPU block at fuse = 3.
     cfg.problem = verify::mms_mixed_problem(16, 0.6);
-    cfg.steps = 5;  // odd: exercises the unfused remainder path at fuse > 1
+    cfg.steps = 5;
     cfg.ntasks = 2;
     cfg.threads_per_task = 2;
-    cfg.fuse = fuse;
-    cfg.box_thickness = fuse > 1 ? fuse : 1;
     const auto reference = core::run_reference(cfg.problem, cfg.steps);
     for (const auto& im : impl::registry()) {
         const auto r = impl::run_plan_solver(im.id, cfg);
         EXPECT_TRUE(r.state.interior_equals(reference))
-            << im.id << " diverges from reference with the source active"
-            << " (fuse=" << fuse << ")";
+            << im.id << " diverges from reference with the source active";
     }
 }
-
-INSTANTIATE_TEST_SUITE_P(Fuse, MmsParity, ::testing::Values(1, 2, 3));
 
 // Pure manufactured mode has a known exact solution; the error must be
 // small and must be the discretisation's, not the source hook's.
@@ -198,11 +188,13 @@ TEST(FuzzSampler, SampledCasesAreBounded) {
         }
         EXPECT_GE(c.nu_fraction, 0.3);
         EXPECT_LE(c.nu_fraction, 1.0);
-        // Scenario invariants (docs/SCENARIOS.md): variable coefficients
-        // have no fused phases, and Courant-1 cases stay on the default so
-        // the max-principle oracle keeps its exact-shift premise.
-        if (c.vel_kind != core::VelocityKind::Constant) {
+        // Only Courant-1 cases fuse (the register chain is the only fused
+        // kernel), and Courant-1 cases stay on the scenario default so the
+        // max-principle oracle keeps its exact-shift premise.
+        if (!c.courant_one) {
             EXPECT_EQ(c.fuse, 1);
+        }
+        if (c.vel_kind != core::VelocityKind::Constant) {
             EXPECT_GT(c.vel_amplitude, 0.0);
         }
         if (c.courant_one) {
@@ -213,10 +205,11 @@ TEST(FuzzSampler, SampledCasesAreBounded) {
 }
 
 // The sampler must actually reach the scenario space: across a seed sweep
-// both variable-velocity kinds and every boundary policy occur.
+// both variable-velocity kinds and every boundary policy occur, and the
+// register chain still gets fused Courant-1 cases.
 TEST(FuzzSampler, ScenarioSpaceIsReached) {
     int sbr = 0, deform = 0, inflow = 0, open_box = 0, outflow = 0;
-    int var_socket = 0, open_fused = 0;
+    int var_socket = 0, courant1_fused = 0;
     for (std::uint64_t seed = 0; seed < 400; ++seed) {
         const auto c = verify::sample_case(seed);
         sbr += c.vel_kind == core::VelocityKind::SolidBodyRotation;
@@ -226,8 +219,7 @@ TEST(FuzzSampler, ScenarioSpaceIsReached) {
         outflow += c.boundary == verify::FuzzBoundary::OutflowX;
         var_socket +=
             c.vel_kind != core::VelocityKind::Constant && c.socket;
-        open_fused +=
-            c.boundary != verify::FuzzBoundary::Periodic && c.fuse > 1;
+        courant1_fused += c.courant_one && c.fuse > 1;
     }
     EXPECT_GT(sbr, 0);
     EXPECT_GT(deform, 0);
@@ -235,7 +227,7 @@ TEST(FuzzSampler, ScenarioSpaceIsReached) {
     EXPECT_GT(open_box, 0);
     EXPECT_GT(outflow, 0);
     EXPECT_GT(var_socket, 0);
-    EXPECT_GT(open_fused, 0);
+    EXPECT_GT(courant1_fused, 0);
 }
 
 TEST(FuzzReproducer, SingleLineStandaloneFormat) {

@@ -572,25 +572,22 @@ int cmd_verify_norms(int argc, char** argv) {
     const std::string id = argc > 0 ? argv[0] : "single_task";
     const int n = argc > 1 ? std::atoi(argv[1]) : 32;
     const int steps = argc > 2 ? std::atoi(argv[2]) : 16;
-    const int fuse = argc > 3 ? std::atoi(argv[3]) : 1;
     impl::SolverConfig cfg;
     cfg.problem = advect::verify::mms_problem(n);
     cfg.steps = steps;
-    cfg.fuse = fuse;
     cfg.ntasks = 2;
     cfg.threads_per_task = 2;
     const auto r = impl::run_plan_solver(id, cfg);
     std::printf(
-        "%s on the manufactured problem, n=%d steps=%d fuse=%d:\n"
+        "%s on the manufactured problem, n=%d steps=%d:\n"
         "  L1 %.6e  L2 %.6e  Linf %.6e\n",
-        id.c_str(), n, steps, fuse, r.error.l1, r.error.l2, r.error.linf);
+        id.c_str(), n, steps, r.error.l1, r.error.l2, r.error.linf);
     return 0;
 }
 
 int cmd_verify_order(int argc, char** argv) {
     const std::string id = argc > 0 ? argv[0] : "single_task";
-    const int fuse = argc > 1 ? std::atoi(argv[1]) : 1;
-    const auto study = advect::verify::convergence_study(id, fuse);
+    const auto study = advect::verify::convergence_study(id);
     std::printf("%s", advect::verify::format_study(study).c_str());
     return 0;
 }
@@ -638,8 +635,8 @@ int cmd_verify(int argc, char** argv) {
         std::fprintf(
             stderr,
             "usage: advectctl verify <norms|order|fuzz|schedule> [args...]\n"
-            "  norms    [impl] [n] [steps] [fuse]\n"
-            "  order    [impl] [fuse]\n"
+            "  norms    [impl] [n] [steps]\n"
+            "  order    [impl]\n"
             "  fuzz     [--seed N] [--count M]\n"
             "  schedule [impl] [n] [steps] [tasks] [nseeds]\n");
         return 2;
