@@ -20,7 +20,7 @@ namespace {
 /// copies the plane at `edge` (the nearest interior index in `dim`, with
 /// transverse coordinates unchanged). Halo cells never read other halo
 /// cells of their own slab, so the fill order is immaterial.
-void fill_face(Field3& f, const Range3& slab, int dim, BoundaryKind kind,
+void fill_face(FieldView f, const Range3& slab, int dim, BoundaryKind kind,
                int edge, const BoundaryField& bf, const Index3& origin,
                int level) {
     for (int k = slab.lo.k; k < slab.hi.k; ++k)
@@ -30,17 +30,15 @@ void fill_face(Field3& f, const Range3& slab, int dim, BoundaryKind kind,
                     f(i, j, k) = bf.g(origin.i + i, origin.j + j,
                                       origin.k + k, level);
                 } else {
-                    const Index3 src{dim == 0 ? edge : i,
-                                     dim == 1 ? edge : j,
-                                     dim == 2 ? edge : k};
-                    f(i, j, k) = f(src);
+                    f(i, j, k) = f(dim == 0 ? edge : i, dim == 1 ? edge : j,
+                                   dim == 2 ? edge : k);
                 }
             }
 }
 
 }  // namespace
 
-void fill_boundary_dim(Field3& f, int dim, unsigned open,
+void fill_boundary_dim(FieldView f, int dim, unsigned open,
                        const std::array<BoundaryKind, 6>& faces,
                        const BoundaryField& bf, const Index3& origin,
                        int level) {

@@ -52,7 +52,7 @@ struct BoundaryField {
 /// face; see Scenario::open_faces restricted by local_open_faces); `faces`
 /// gives each face's kind; `origin` is the local block's global origin and
 /// `level` the base time level of the step.
-void fill_boundary_dim(Field3& f, int dim, unsigned open,
+void fill_boundary_dim(FieldView f, int dim, unsigned open,
                        const std::array<BoundaryKind, 6>& faces,
                        const BoundaryField& bf, const Index3& origin,
                        int level);

@@ -55,8 +55,8 @@ CoeffCache::CoeffCache(const CoeffField& cf, Extents3 local, Index3 origin)
         }
 }
 
-void apply_stencil_var_rows(const CoeffCache& cache, const Field3& in,
-                            Field3& out, const RowSpace& rows,
+void apply_stencil_var_rows(const CoeffCache& cache, ConstFieldView in,
+                            FieldView out, const RowSpace& rows,
                             std::int64_t lo, std::int64_t hi,
                             const FusedSource* src, bool wrap) {
     const std::ptrdiff_t sj = in.x_stride();

@@ -115,8 +115,8 @@ class CoeffCache {
 /// `rows` through apply_stencil_var_row_ptr, coefficients from `cache`
 /// (rows may start at xlo > 0; the cache row is indexed by absolute local
 /// i), each row then finished by detail::finish_row(out, row, src, wrap).
-void apply_stencil_var_rows(const CoeffCache& cache, const Field3& in,
-                            Field3& out, const RowSpace& rows,
+void apply_stencil_var_rows(const CoeffCache& cache, ConstFieldView in,
+                            FieldView out, const RowSpace& rows,
                             std::int64_t lo, std::int64_t hi,
                             const FusedSource* src = nullptr,
                             bool wrap = false);

@@ -8,14 +8,80 @@
 
 #include <cassert>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/grid.hpp"
 
 namespace advect::core {
 
+/// A non-owning view of a halo-padded field's storage: base pointer,
+/// interior extents (nx, ny, nz) and halo width h, x fastest. Valid indices
+/// per dimension are [-h, n+h-1]. The padded layout's arithmetic lives here
+/// only: Field3 hands out a view of its vector and a simulated-device
+/// kernel builds one over its device buffer, so every copy, fill and sweep
+/// in core runs on host and device storage alike. `T` is `double`
+/// (FieldView) or `const double` (ConstFieldView).
+template <class T>
+class BasicFieldView {
+  public:
+    BasicFieldView() = default;
+    BasicFieldView(T* data, Extents3 interior, int halo)
+        : data_(data),
+          n_(interior),
+          h_(halo),
+          sx_(interior.nx + 2 * halo),
+          sxy_(sx_ * (interior.ny + 2 * halo)) {
+        assert(halo >= 1);
+    }
+    operator BasicFieldView<const T>() const
+        requires(!std::is_const_v<T>)
+    {
+        return {data_, n_, h_};
+    }
+
+    [[nodiscard]] Extents3 extents() const { return n_; }
+    [[nodiscard]] int halo_width() const { return h_; }
+    /// Doubles of storage, halos included.
+    [[nodiscard]] std::size_t storage_size() const {
+        return static_cast<std::size_t>(sxy_ * (n_.nz + 2 * h_));
+    }
+    /// Consecutive j rows are x_stride() doubles apart, consecutive k
+    /// planes xy_stride().
+    [[nodiscard]] std::ptrdiff_t x_stride() const { return sx_; }
+    [[nodiscard]] std::ptrdiff_t xy_stride() const { return sxy_; }
+
+    /// Linear offset of (i, j, k) from data().
+    [[nodiscard]] std::size_t offset(int i, int j, int k) const {
+        assert(i >= -h_ && i <= n_.nx + h_ - 1);
+        assert(j >= -h_ && j <= n_.ny + h_ - 1);
+        assert(k >= -h_ && k <= n_.nz + h_ - 1);
+        return static_cast<std::size_t>((i + h_) + sx_ * (j + h_) +
+                                        sxy_ * (k + h_));
+    }
+    /// Point (i, j, k), where the x-contiguous row from it starts.
+    [[nodiscard]] T* ptr(int i, int j, int k) const {
+        return data_ + offset(i, j, k);
+    }
+    [[nodiscard]] T& operator()(int i, int j, int k) const {
+        return *ptr(i, j, k);
+    }
+    /// Point (-h, -h, -h), the first double of the storage.
+    [[nodiscard]] T* data() const { return data_; }
+
+  private:
+    T* data_ = nullptr;
+    Extents3 n_{};
+    int h_ = 1;
+    std::ptrdiff_t sx_ = 0;
+    std::ptrdiff_t sxy_ = 0;
+};
+
+using FieldView = BasicFieldView<double>;
+using ConstFieldView = BasicFieldView<const double>;
+
 /// A 3-D array of doubles with interior extents (nx, ny, nz) and a halo of
-/// width h. Valid indices per dimension are [-h, n+h-1]; x is contiguous.
+/// width h, owning its storage; its layout accessors are its view's.
 class Field3 {
   public:
     Field3() = default;
@@ -24,13 +90,22 @@ class Field3 {
     Field3(Extents3 interior, int halo, double fill = 0.0)
         : n_(interior),
           h_(halo),
-          sx_(interior.nx + 2 * halo),
-          sxy_(static_cast<std::size_t>(interior.nx + 2 * halo) *
-               static_cast<std::size_t>(interior.ny + 2 * halo)),
-          data_(sxy_ * static_cast<std::size_t>(interior.nz + 2 * halo),
-                fill) {
-        assert(halo >= 1);
+          data_(ConstFieldView(nullptr, interior, halo).storage_size(),
+                fill) {}
+
+    /// The layout over this field's storage, valid while the field keeps
+    /// it: not across assignment, swap or destruction. Core routines take
+    /// views, so a Field3 converts to one wherever it is passed. A mutable
+    /// view of a temporary is rejected, so writing into one (say,
+    /// `unpack(Field3(n), r, buf)`) does not compile.
+    [[nodiscard]] FieldView view() & { return {data_.data(), n_, h_}; }
+    FieldView view() && = delete;
+    [[nodiscard]] ConstFieldView view() const& {
+        return {data_.data(), n_, h_};
     }
+    operator FieldView() & { return view(); }
+    operator FieldView() && = delete;
+    operator ConstFieldView() const { return view(); }
 
     /// Interior extents (halo excluded).
     [[nodiscard]] Extents3 extents() const { return n_; }
@@ -41,50 +116,29 @@ class Field3 {
     /// Total allocation including halos.
     [[nodiscard]] std::size_t storage_size() const { return data_.size(); }
 
-    /// Access point (i, j, k); halo points use indices down to -h or up to
-    /// n+h-1 in a dimension.
+    /// Point (i, j, k); halo points use indices down to -h or up to n+h-1.
     [[nodiscard]] double& operator()(int i, int j, int k) {
-        return data_[offset(i, j, k)];
+        return view()(i, j, k);
     }
     [[nodiscard]] double operator()(int i, int j, int k) const {
-        return data_[offset(i, j, k)];
+        return view()(i, j, k);
     }
-    [[nodiscard]] double& operator()(const Index3& p) {
-        return (*this)(p.i, p.j, p.k);
+    [[nodiscard]] double* ptr(int i, int j, int k) {
+        return view().ptr(i, j, k);
     }
-    [[nodiscard]] double operator()(const Index3& p) const {
-        return (*this)(p.i, p.j, p.k);
+    [[nodiscard]] const double* ptr(int i, int j, int k) const {
+        return view().ptr(i, j, k);
     }
-
-    /// Linear offset of (i, j, k) in the padded layout.
-    [[nodiscard]] std::size_t offset(int i, int j, int k) const {
-        assert(i >= -h_ && i <= n_.nx + h_ - 1);
-        assert(j >= -h_ && j <= n_.ny + h_ - 1);
-        assert(k >= -h_ && k <= n_.nz + h_ - 1);
-        return static_cast<std::size_t>(i + h_) +
-               static_cast<std::size_t>(sx_) * static_cast<std::size_t>(j + h_) +
-               sxy_ * static_cast<std::size_t>(k + h_);
+    [[nodiscard]] std::ptrdiff_t x_stride() const {
+        return view().x_stride();
+    }
+    [[nodiscard]] std::ptrdiff_t xy_stride() const {
+        return view().xy_stride();
     }
 
     /// Raw storage including halos (x fastest).
     [[nodiscard]] std::span<double> raw() { return data_; }
     [[nodiscard]] std::span<const double> raw() const { return data_; }
-
-    /// Padded strides of the storage layout, in doubles: consecutive j rows
-    /// are x_stride() apart, consecutive k planes xy_stride() apart.
-    [[nodiscard]] std::ptrdiff_t x_stride() const { return sx_; }
-    [[nodiscard]] std::ptrdiff_t xy_stride() const {
-        return static_cast<std::ptrdiff_t>(sxy_);
-    }
-
-    /// Pointer to point (i, j, k); like operator(), halo indices are valid.
-    /// The x-row starting here is contiguous.
-    [[nodiscard]] double* ptr(int i, int j, int k) {
-        return data_.data() + offset(i, j, k);
-    }
-    [[nodiscard]] const double* ptr(int i, int j, int k) const {
-        return data_.data() + offset(i, j, k);
-    }
 
     /// Half-open range covering the interior.
     [[nodiscard]] Range3 interior() const {
@@ -104,16 +158,12 @@ class Field3 {
     void swap(Field3& other) noexcept {
         std::swap(n_, other.n_);
         std::swap(h_, other.h_);
-        std::swap(sx_, other.sx_);
-        std::swap(sxy_, other.sxy_);
         data_.swap(other.data_);
     }
 
   private:
     Extents3 n_{};
-    int h_ = 1;           // halo (ghost) width per side
-    int sx_ = 0;          // padded x stride
-    std::size_t sxy_ = 0; // padded xy-plane stride
+    int h_ = 1;  // halo (ghost) width per side
     std::vector<double> data_;
 };
 

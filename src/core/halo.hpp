@@ -9,6 +9,7 @@
 /// fuse F steps per exchange (each fused step consumes one ghost layer).
 
 #include <array>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -44,12 +45,17 @@ struct HaloPlan {
     }
 };
 
-/// Copy `region` of `f` into a flat buffer, x fastest then y then z.
-void pack(const Field3& f, const Range3& region, std::span<double> out);
-[[nodiscard]] std::vector<double> pack(const Field3& f, const Range3& region);
+/// Copy `region` of `f` into a flat buffer, x fastest then y then z. Given
+/// `lo` and `hi`, only the region's x-rows [lo, hi) (numbered j fastest,
+/// then k) move, row r to out[r * nx, (r + 1) * nx): disjoint row chunks
+/// write disjoint slices, so team threads may each pack one.
+void pack(ConstFieldView f, const Range3& region, std::span<double> out,
+          std::int64_t lo = 0, std::int64_t hi = INT64_MAX);
+[[nodiscard]] std::vector<double> pack(ConstFieldView f, const Range3& region);
 
-/// Inverse of pack.
-void unpack(Field3& f, const Range3& region, std::span<const double> in);
+/// Inverse of pack, row chunks included.
+void unpack(FieldView f, const Range3& region, std::span<const double> in,
+            std::int64_t lo = 0, std::int64_t hi = INT64_MAX);
 
 /// Fill one dimension's halos from the opposite boundary of the same field
 /// (single-task periodic case, or a dimension in which a rank is its own
@@ -61,6 +67,19 @@ void fill_periodic_halo_dim(Field3& f, int dim, int depth = 0);
 /// default) fills the field's full halo width.
 void fill_periodic_halo(Field3& f, int depth = 0);
 
+/// Halo rows of stage `dim` of a periodic fill `depth` deep over extents
+/// `n`: the x-rows of its low and then its high receive slab.
+[[nodiscard]] std::int64_t periodic_halo_rows(Extents3 n, int dim, int depth);
+
+/// Stage `dim` of the periodic fill, `depth` deep, by row copies: each halo
+/// row takes its periodic source row n planes away. Given `lo` and `hi`,
+/// only halo rows [lo, hi) (see periodic_halo_rows) move; disjoint row
+/// chunks write disjoint rows, so team threads may each fill one. Once all
+/// rows have moved, value-identical to fill_periodic_halo_dim(f, dim,
+/// depth).
+void fill_periodic_halo_rows(FieldView f, int dim, int depth,
+                             std::int64_t lo = 0, std::int64_t hi = INT64_MAX);
+
 /// Periodic images of one written interior row (j, k), whole in x: every
 /// halo point of `f` (full halo width h) whose periodic preimage lies in
 /// the row. First the row's x-wrap values (its h points at each x face,
@@ -71,6 +90,6 @@ void fill_periodic_halo(Field3& f, int depth = 0);
 /// any order, by any thread -- the halo equals fill_periodic_halo's, bit
 /// for bit. The single-task sweep's row epilogue (docs/PERF.md "Step 1 is
 /// a row epilogue").
-void wrap_periodic_row(Field3& f, int j, int k);
+void wrap_periodic_row(FieldView f, int j, int k);
 
 }  // namespace advect::core

@@ -31,29 +31,26 @@ std::size_t RowSpace::region_of(std::int64_t flat) const {
     // chunks walk rows in order), so try the cached index before falling
     // back to binary search. Relaxed atomics: the cache is a hint; any
     // stale value is detected by the range check and merely costs a search.
-    std::size_t ri = last_region_.load(std::memory_order_relaxed);
+    std::size_t ri = last_.region.load(std::memory_order_relaxed);
     if (ri + 1 >= prefix_.size() || flat < prefix_[ri] ||
         flat >= prefix_[ri + 1]) {
         const auto it = std::upper_bound(prefix_.begin(), prefix_.end(), flat);
         ri = static_cast<std::size_t>(it - prefix_.begin() - 1);
-        last_region_.store(ri, std::memory_order_relaxed);
+        last_.region.store(ri, std::memory_order_relaxed);
     }
     return ri;
 }
 
 RowSpace::Row RowSpace::row(std::int64_t flat) const {
     assert(flat >= 0 && flat < total_);
-    const std::size_t ri = region_of(flat);
-    const auto& r = regions_[ri];
-    const std::int64_t local = flat - prefix_[ri];
-    const int ny = r.hi.j - r.lo.j;
-    return Row{r.lo.i, r.hi.i, r.lo.j + static_cast<int>(local % ny),
-               r.lo.k + static_cast<int>(local / ny)};
+    Row out{};
+    for_each_run(flat, flat + 1, [&](const Row& r, int) { out = r; });
+    return out;
 }
 
-void apply_stencil_rows(const StencilCoeffs& a, const Field3& in, Field3& out,
-                        const RowSpace& rows, std::int64_t lo, std::int64_t hi,
-                        const FusedSource* src, bool wrap) {
+void apply_stencil_rows(const StencilCoeffs& a, ConstFieldView in,
+                        FieldView out, const RowSpace& rows, std::int64_t lo,
+                        std::int64_t hi, const FusedSource* src, bool wrap) {
     const StencilPlan plan = StencilPlan::make(a, in);
     rows.for_each_row(lo, hi, [&](const RowSpace::Row& r) {
         apply_stencil_row_ptr(plan, in.ptr(r.xlo, r.j, r.k),
@@ -62,8 +59,8 @@ void apply_stencil_rows(const StencilCoeffs& a, const Field3& in, Field3& out,
     });
 }
 
-void apply_stencil_chain_rows(const StencilCoeffs& a, const Field3& in,
-                              Field3& out, const RowSpace& rows,
+void apply_stencil_chain_rows(const StencilCoeffs& a, ConstFieldView in,
+                              FieldView out, const RowSpace& rows,
                               std::int64_t lo, std::int64_t hi, int depth) {
     const StencilPlan plan = StencilPlan::make(a, in);
     rows.for_each_run(lo, hi, [&](const RowSpace::Row& r, int count) {
@@ -73,7 +70,7 @@ void apply_stencil_chain_rows(const StencilCoeffs& a, const Field3& in,
     });
 }
 
-void detail::finish_row(Field3& out, const RowSpace::Row& r,
+void detail::finish_row(FieldView out, const RowSpace::Row& r,
                         const FusedSource* src, bool wrap) {
     // Adding Q after the row's stencil pass is bitwise-identical to adding
     // it inside the kernel: each point is (stencil sum) + Q either way.

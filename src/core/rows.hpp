@@ -23,27 +23,6 @@ class RowSpace {
     RowSpace() = default;
     explicit RowSpace(std::vector<Range3> regions);
 
-    // The cached region index is a performance hint, not state: copies and
-    // moves transfer only the regions and prefix sums.
-    RowSpace(const RowSpace& o)
-        : regions_(o.regions_), prefix_(o.prefix_), total_(o.total_) {}
-    RowSpace(RowSpace&& o) noexcept
-        : regions_(std::move(o.regions_)),
-          prefix_(std::move(o.prefix_)),
-          total_(o.total_) {}
-    RowSpace& operator=(const RowSpace& o) {
-        regions_ = o.regions_;
-        prefix_ = o.prefix_;
-        total_ = o.total_;
-        return *this;
-    }
-    RowSpace& operator=(RowSpace&& o) noexcept {
-        regions_ = std::move(o.regions_);
-        prefix_ = std::move(o.prefix_);
-        total_ = o.total_;
-        return *this;
-    }
-
     /// Total number of rows across all regions.
     [[nodiscard]] std::int64_t size() const { return total_; }
     /// Total number of points across all regions.
@@ -65,25 +44,29 @@ class RowSpace {
         if (lo < 0) lo = 0;
         if (hi > total_) hi = total_;
         if (lo >= hi) return;
-        std::size_t ri = region_of(lo);
-        std::int64_t f = lo;
-        while (f < hi) {
-            const Range3& r = regions_[ri];
-            const std::int64_t local = f - prefix_[ri];
-            const int ny = r.hi.j - r.lo.j;
-            int j = r.lo.j + static_cast<int>(local % ny);
-            int k = r.lo.k + static_cast<int>(local / ny);
-            const std::int64_t stop = hi < prefix_[ri + 1] ? hi
-                                                           : prefix_[ri + 1];
-            while (f < stop) {
-                const int count = static_cast<int>(
-                    std::min<std::int64_t>(r.hi.j - j, stop - f));
-                fn(Row{r.lo.i, r.hi.i, j, k}, count);
-                f += count;
-                j = r.lo.j;
-                ++k;
-            }
-            ++ri;
+        for (std::size_t ri = region_of(lo); lo < hi; ++ri) {
+            const std::int64_t stop = std::min(hi, prefix_[ri + 1]);
+            for_each_run(regions_[ri], lo - prefix_[ri], stop - prefix_[ri],
+                         fn);
+            lo = stop;
+        }
+    }
+
+    /// The same runs over rows [lo, hi) of the one region `r`, numbered
+    /// j fastest, then k (0 <= lo, hi <= r's row count).
+    template <class Fn>
+    static void for_each_run(const Range3& r, std::int64_t lo,
+                             std::int64_t hi, Fn&& fn) {
+        const int ny = r.hi.j - r.lo.j;
+        int j = r.lo.j + static_cast<int>(lo % ny);
+        int k = r.lo.k + static_cast<int>(lo / ny);
+        while (lo < hi) {
+            const int count = static_cast<int>(
+                std::min<std::int64_t>(r.hi.j - j, hi - lo));
+            fn(Row{r.lo.i, r.hi.i, j, k}, count);
+            lo += count;
+            j = r.lo.j;
+            ++k;
         }
     }
 
@@ -104,10 +87,19 @@ class RowSpace {
     /// lookups almost always land in the same region).
     [[nodiscard]] std::size_t region_of(std::int64_t flat) const;
 
+    /// The cached region index is a performance hint, not state: copies
+    /// and moves of a RowSpace leave it as it was.
+    struct Hint {
+        mutable std::atomic<std::size_t> region{0};
+        Hint() = default;
+        Hint(const Hint&) noexcept {}
+        Hint& operator=(const Hint&) noexcept { return *this; }
+    };
+
     std::vector<Range3> regions_;
     std::vector<std::int64_t> prefix_;  // prefix row counts per region
     std::int64_t total_ = 0;
-    mutable std::atomic<std::size_t> last_region_{0};
+    Hint last_;
 };
 
 struct FusedSource;  // core/source.hpp
@@ -119,9 +111,10 @@ struct FusedSource;  // core/source.hpp
 /// with an active `src` it gains the manufactured increment at
 /// src->base_level, and with `wrap` it then writes its periodic images
 /// into `out`'s halo.
-void apply_stencil_rows(const StencilCoeffs& a, const Field3& in, Field3& out,
-                        const RowSpace& rows, std::int64_t lo, std::int64_t hi,
-                        const FusedSource* src = nullptr, bool wrap = false);
+void apply_stencil_rows(const StencilCoeffs& a, ConstFieldView in,
+                        FieldView out, const RowSpace& rows, std::int64_t lo,
+                        std::int64_t hi, const FusedSource* src = nullptr,
+                        bool wrap = false);
 
 /// Advance rows [lo, hi) of `rows` by `depth` time steps at once through
 /// the register chain (apply_stencil_chain_ptr): one chain call per run of
@@ -129,8 +122,8 @@ void apply_stencil_rows(const StencilCoeffs& a, const Field3& in, Field3& out,
 /// beyond each row. `a` must compact to a single live term (impl::plan_job
 /// admits fuse > 1 only then); the result is bitwise-identical to `depth`
 /// successive apply_stencil_rows sweeps.
-void apply_stencil_chain_rows(const StencilCoeffs& a, const Field3& in,
-                              Field3& out, const RowSpace& rows,
+void apply_stencil_chain_rows(const StencilCoeffs& a, ConstFieldView in,
+                              FieldView out, const RowSpace& rows,
                               std::int64_t lo, std::int64_t hi, int depth);
 
 namespace detail {
@@ -139,7 +132,7 @@ namespace detail {
 /// is non-null and active), then, with `wrap`, wrap_periodic_row -- which
 /// takes whole x-rows, so `r` must then span `out`'s interior in x
 /// (docs/PERF.md "Step 1 is a row epilogue").
-void finish_row(Field3& out, const RowSpace::Row& r, const FusedSource* src,
+void finish_row(FieldView out, const RowSpace::Row& r, const FusedSource* src,
                 bool wrap);
 }  // namespace detail
 

@@ -76,7 +76,8 @@ struct SourceField {
 /// Manufactured-source context of one step's sweep: the bound source field,
 /// the global origin of the local field's (0,0,0), and the time level the
 /// step starts from. The row epilogue (core::detail::finish_row) adds
-/// Q(global point, base_level) to every row it finishes.
+/// Q(global point, base_level) to every row it finishes. Trivially copyable:
+/// a simulated-device kernel captures it by value at enqueue time.
 struct FusedSource {
     SourceField field{};
     Index3 origin{};

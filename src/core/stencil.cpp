@@ -4,6 +4,8 @@
 #include <cassert>
 #include <type_traits>
 
+#include "core/rows.hpp"
+
 namespace advect::core {
 
 double stencil_point(const StencilCoeffs& a, const Field3& in, int i, int j,
@@ -44,7 +46,7 @@ StencilPlan StencilPlan::make(const StencilCoeffs& a, std::ptrdiff_t x_stride,
     return make(a, x_stride, {-xy_stride, 0, xy_stride});
 }
 
-StencilPlan StencilPlan::make(const StencilCoeffs& a, const Field3& shape) {
+StencilPlan StencilPlan::make(const StencilCoeffs& a, ConstFieldView shape) {
     return make(a, shape.x_stride(), shape.xy_stride());
 }
 
@@ -138,12 +140,8 @@ void apply_stencil(const StencilCoeffs& a, const Field3& in, Field3& out,
     assert(r.lo.k >= 0 && r.hi.k <= n.nz);
     (void)n;
     if (r.empty()) return;
-    const StencilPlan plan = StencilPlan::make(a, in);
-    const int row = r.hi.i - r.lo.i;
-    for (int k = r.lo.k; k < r.hi.k; ++k)
-        for (int j = r.lo.j; j < r.hi.j; ++j)
-            apply_stencil_row_ptr(plan, in.ptr(r.lo.i, j, k),
-                                  out.ptr(r.lo.i, j, k), row);
+    const RowSpace rows({r});
+    apply_stencil_rows(a, in, out, rows, 0, rows.size());
 }
 
 void apply_stencil(const StencilCoeffs& a, const Field3& in, Field3& out) {
@@ -205,29 +203,21 @@ std::vector<std::vector<Range3>> split_rows(const Range3& r, int parts) {
     assert(parts >= 1);
     std::vector<std::vector<Range3>> out(static_cast<std::size_t>(parts));
     if (r.empty()) return out;
-    const long ny = r.hi.j - r.lo.j;
-    const long total = static_cast<long>(r.hi.k - r.lo.k) * ny;
-    long b = 0;  // next unassigned row, in (z, y) order
+    const int ny = r.hi.j - r.lo.j;
+    const std::int64_t total = static_cast<std::int64_t>(r.hi.k - r.lo.k) * ny;
     for (int p = 0; p < parts; ++p) {
-        const long e = total * (p + 1) / parts;
         auto& boxes = out[static_cast<std::size_t>(p)];
-        while (b < e) {
-            const int k = r.lo.k + static_cast<int>(b / ny);
-            const long j = b % ny;
-            Range3 s = r;
-            s.lo.k = k;
-            if (j == 0 && e - b >= ny) {  // run of whole planes
-                s.hi.k = k + static_cast<int>((e - b) / ny);
-                b += static_cast<long>(s.hi.k - s.lo.k) * ny;
-            } else {  // partial plane
-                s.hi.k = k + 1;
-                s.lo.j = r.lo.j + static_cast<int>(j);
-                s.hi.j =
-                    r.lo.j + static_cast<int>(std::min(ny, j + (e - b)));
-                b += s.hi.j - s.lo.j;
-            }
-            boxes.push_back(s);
-        }
+        // One run per plane; consecutive whole planes merge into one box.
+        RowSpace::for_each_run(
+            r, total * p / parts, total * (p + 1) / parts,
+            [&](const RowSpace::Row& run, int count) {
+                if (count == ny && !boxes.empty() &&
+                    boxes.back().hi.j - boxes.back().lo.j == ny)
+                    ++boxes.back().hi.k;
+                else
+                    boxes.push_back({{r.lo.i, run.j, run.k},
+                                     {r.hi.i, run.j + count, run.k + 1}});
+            });
     }
     return out;
 }

@@ -62,7 +62,7 @@ struct StencilPlan {
                                           std::ptrdiff_t xy_stride);
     /// Plan for the padded layout of `shape`.
     [[nodiscard]] static StencilPlan make(const StencilCoeffs& a,
-                                          const Field3& shape);
+                                          ConstFieldView shape);
 };
 
 /// Apply the planned stencil to one x-contiguous row of `n` points: for each

@@ -18,12 +18,13 @@ namespace advect::impl {
 [[nodiscard]] double now_seconds();
 
 /// Step 1 for the single-task case: periodic halo copies within one field,
-/// dimension-serialized, rows parallelised across the team (the paper
-/// parallelises the outer loops of the doubly nested copy loops). `dim`
-/// -1 fills all three stages, else only stage `dim` (the open-face plans'
-/// per-dimension HaloFill). Value-identical to core::fill_periodic_halo
-/// (_dim). The unfused periodic single_task executor runs it on its first
-/// step only; its sweep's row epilogue keeps the halo current after that.
+/// dimension-serialized, each team thread running a row chunk of
+/// core::fill_periodic_halo_rows (the paper parallelises the outer loops
+/// of the doubly nested copy loops). `dim` -1 fills all three stages, else
+/// only stage `dim` (the open-face plans' per-dimension HaloFill).
+/// Value-identical to core::fill_periodic_halo(_dim). The unfused periodic
+/// single_task executor runs it on its first step only; its sweep's row
+/// epilogue keeps the halo current after that.
 void halo_fill_parallel(advect::omp::ThreadTeam& team, core::Field3& f,
                         int dim = -1);
 

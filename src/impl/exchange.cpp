@@ -18,50 +18,33 @@ int tag_of(int dim, int travel_low) { return dim * 2 + (travel_low ? 0 : 1); }
 constexpr const char* kStartDim[3] = {"start_x", "start_y", "start_z"};
 constexpr const char* kFinishDim[3] = {"finish_x", "finish_y", "finish_z"};
 
+/// Run `copy(lo, hi)` over the x-rows of `region`: all of them on the
+/// calling thread without a team of several threads, else a static row
+/// chunk per team thread.
+template <class Copy>
+void over_rows(const core::Range3& region, omp::ThreadTeam* team, Copy copy) {
+    const auto e = region.extents();
+    const std::int64_t rows = static_cast<std::int64_t>(e.ny) * e.nz;
+    if (team == nullptr || team->size() == 1)
+        copy(0, rows);
+    else
+        omp::parallel_for(*team, 0, rows, omp::Schedule::Static, copy);
+}
+
 }  // namespace
 
 void pack_parallel(const core::Field3& f, const core::Range3& region,
                    std::span<double> out, omp::ThreadTeam* team) {
-    if (team == nullptr || team->size() == 1) {
-        core::pack(f, region, out);
-        return;
-    }
-    const auto e = region.extents();
-    const std::int64_t rows = static_cast<std::int64_t>(e.ny) * e.nz;
-    omp::parallel_for(*team, 0, rows, omp::Schedule::Static,
-                      [&f, &region, out, &e](std::int64_t lo, std::int64_t hi) {
-                          for (std::int64_t r = lo; r < hi; ++r) {
-                              const int j = region.lo.j + static_cast<int>(r % e.ny);
-                              const int k = region.lo.k + static_cast<int>(r / e.ny);
-                              std::size_t idx =
-                                  static_cast<std::size_t>(r) *
-                                  static_cast<std::size_t>(e.nx);
-                              for (int i = region.lo.i; i < region.hi.i; ++i)
-                                  out[idx++] = f(i, j, k);
-                          }
-                      });
+    over_rows(region, team, [&](std::int64_t lo, std::int64_t hi) {
+        core::pack(f, region, out, lo, hi);
+    });
 }
 
 void unpack_parallel(core::Field3& f, const core::Range3& region,
                      std::span<const double> in, omp::ThreadTeam* team) {
-    if (team == nullptr || team->size() == 1) {
-        core::unpack(f, region, in);
-        return;
-    }
-    const auto e = region.extents();
-    const std::int64_t rows = static_cast<std::int64_t>(e.ny) * e.nz;
-    omp::parallel_for(*team, 0, rows, omp::Schedule::Static,
-                      [&f, &region, in, &e](std::int64_t lo, std::int64_t hi) {
-                          for (std::int64_t r = lo; r < hi; ++r) {
-                              const int j = region.lo.j + static_cast<int>(r % e.ny);
-                              const int k = region.lo.k + static_cast<int>(r / e.ny);
-                              std::size_t idx =
-                                  static_cast<std::size_t>(r) *
-                                  static_cast<std::size_t>(e.nx);
-                              for (int i = region.lo.i; i < region.hi.i; ++i)
-                                  f(i, j, k) = in[idx++];
-                          }
-                      });
+    over_rows(region, team, [&](std::int64_t lo, std::int64_t hi) {
+        core::unpack(f, region, in, lo, hi);
+    });
 }
 
 HaloExchange::HaloExchange(const core::Decomp3& decomp, int rank, int depth)

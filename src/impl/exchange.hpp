@@ -21,8 +21,9 @@
 
 namespace advect::impl {
 
-/// Pack `region` of `f` into `out`, parallelised over rows when a team is
-/// given (the paper's "all threads copy into send buffers").
+/// Pack `region` of `f` into `out`, each team thread packing a row chunk
+/// through core::pack when a team is given (the paper's "all threads copy
+/// into send buffers").
 void pack_parallel(const core::Field3& f, const core::Range3& region,
                    std::span<double> out, advect::omp::ThreadTeam* team);
 /// Inverse of pack_parallel.

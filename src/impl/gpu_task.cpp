@@ -1,6 +1,5 @@
 #include "impl/gpu_task.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "core/stencil.hpp"
@@ -22,20 +21,6 @@ GpuStaging::GpuStaging(gpu::Device& device, std::vector<core::Range3> inbound,
     if (out_count_ > 0) d_out_ = device.alloc(out_count_);
     h_in_.resize(in_count_);
     h_out_.resize(out_count_);
-}
-
-void GpuStaging::enqueue_h2d(gpu::Stream& stream, const core::Field3& host,
-                             DeviceField& dst) {
-    if (in_count_ == 0) return;
-    pack_inbound(host);
-    enqueue_h2d_copy(stream);
-    enqueue_unpack_kernels(stream, dst);
-}
-
-void GpuStaging::enqueue_d2h(gpu::Stream& stream, const DeviceField& src) {
-    if (out_count_ == 0) return;
-    enqueue_pack_kernels(stream, src);
-    enqueue_d2h_copy(stream);
 }
 
 void GpuStaging::pack_inbound(const core::Field3& host) {
@@ -90,16 +75,14 @@ std::vector<core::Range3> boundary_shell_regions(core::Extents3 n,
 }
 
 DevicePool::DevicePool(const gpu::DeviceProps& props, int ntasks,
-                       int tasks_per_gpu, const core::StencilCoeffs& coeffs)
+                       int tasks_per_gpu)
     : tasks_per_gpu_(tasks_per_gpu) {
     if (tasks_per_gpu < 1)
         throw std::invalid_argument("DevicePool: tasks_per_gpu must be >= 1");
     const int ndev = (ntasks + tasks_per_gpu - 1) / tasks_per_gpu;
     devices_.reserve(static_cast<std::size_t>(ndev));
-    for (int d = 0; d < ndev; ++d) {
+    for (int d = 0; d < ndev; ++d)
         devices_.push_back(std::make_unique<gpu::Device>(props));
-        upload_coefficients(*devices_.back(), coeffs);
-    }
 }
 
 }  // namespace advect::impl

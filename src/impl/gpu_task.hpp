@@ -29,20 +29,11 @@ class GpuStaging {
     GpuStaging(gpu::Device& device, std::vector<core::Range3> inbound,
                std::vector<core::Range3> outbound);
 
-    /// Pack `host`'s inbound regions (synchronously, on the calling thread),
-    /// then enqueue one H2D transfer and per-region unpack kernels writing
-    /// into `dst`.
-    void enqueue_h2d(gpu::Stream& stream, const core::Field3& host,
-                     DeviceField& dst);
-
-    /// Enqueue per-region pack kernels reading `src` and one D2H transfer
-    /// into the host staging buffer. Call unpack_outbound() after the stream
-    /// has been synchronized.
-    void enqueue_d2h(gpu::Stream& stream, const DeviceField& src);
-
-    // The composites above decompose into the steps below, which the plan
-    // executor issues as individual tasks (one per plan task, so the
-    // executed trace is exactly as fine-grained as the plan).
+    // The plan executor issues each step below as its own plan task, so
+    // the executed trace is exactly as fine-grained as the plan. Host to
+    // device: pack_inbound, enqueue_h2d_copy, enqueue_unpack_kernels;
+    // device to host: enqueue_pack_kernels, enqueue_d2h_copy, then, once
+    // the stream has been synchronized, unpack_outbound.
 
     /// Pack `host`'s inbound regions into the H2D staging buffer.
     void pack_inbound(const core::Field3& host);
@@ -88,14 +79,19 @@ class GpuStaging {
 
 /// A pool of simulated GPUs shared by MPI tasks on the same "node":
 /// rank r uses device r / tasks_per_gpu (§IV-F: "we can have more than one
-/// MPI task issuing calls to a particular GPU").
+/// MPI task issuing calls to a particular GPU"). The devices start with
+/// empty constant memory.
 class DevicePool {
   public:
-    DevicePool(const gpu::DeviceProps& props, int ntasks, int tasks_per_gpu,
-               const core::StencilCoeffs& coeffs);
+    DevicePool(const gpu::DeviceProps& props, int ntasks, int tasks_per_gpu);
 
     [[nodiscard]] gpu::Device& device_for_rank(int rank) {
         return *devices_[static_cast<std::size_t>(rank / tasks_per_gpu_)];
+    }
+    /// Whether `rank` is the first of the ranks sharing its device, the one
+    /// that uploads the coefficients (run_plan_rank).
+    [[nodiscard]] bool first_on_device(int rank) const {
+        return rank % tasks_per_gpu_ == 0;
     }
     [[nodiscard]] int device_count() const {
         return static_cast<int>(devices_.size());

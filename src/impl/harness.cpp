@@ -134,7 +134,7 @@ PlanJob plan_job(const std::string& impl_id, const SolverConfig& cfg) {
 
 RankOutcome run_plan_rank(const plan::StepPlan& plan, const SolverConfig& cfg,
                           const core::Decomp3& decomp, msg::Communicator& comm,
-                          gpu::Device* device) {
+                          gpu::Device* device, bool first_on_device) {
     const auto& p = cfg.problem;
     const int rank = comm.rank();
     const auto n = decomp.local_extents(rank);
@@ -179,6 +179,10 @@ RankOutcome run_plan_rank(const plan::StepPlan& plan, const SolverConfig& cfg,
     std::optional<DeviceField> d_nxt;
     std::optional<GpuStaging> staging;
     if (plan.uses_gpu) {
+        // The first rank sharing the device fills its constant memory, on
+        // its own thread, so the upload's span carries the rank; the start
+        // barrier orders the upload before every rank's first kernel.
+        if (first_on_device) upload_coefficients(*device, coeffs);
         for (int k = 0; k < plan.streams; ++k)
             streams.push_back(device->create_stream());
         d_cur.emplace(*device, n, plan.fuse);
@@ -252,8 +256,7 @@ SolveResult run_plan_solver(const std::string& impl_id,
     const int nranks = job.decomp.nranks();
     std::optional<DevicePool> pool;
     if (job.plans[0].uses_gpu)
-        pool.emplace(cfg.gpu_props, nranks, cfg.tasks_per_gpu,
-                     cfg.problem.coeffs());
+        pool.emplace(cfg.gpu_props, nranks, cfg.tasks_per_gpu);
 
     // A one-rank job's state is the whole domain: move it, don't copy it.
     core::Field3 global;
@@ -265,7 +268,9 @@ SolveResult run_plan_solver(const std::string& impl_id,
         const plan::StepPlan& plan = job.plans[static_cast<std::size_t>(rank)];
         gpu::Device* device =
             plan.uses_gpu ? &pool->device_for_rank(rank) : nullptr;
-        RankOutcome out = run_plan_rank(plan, cfg, job.decomp, comm, device);
+        RankOutcome out =
+            run_plan_rank(plan, cfg, job.decomp, comm, device,
+                          plan.uses_gpu && pool->first_on_device(rank));
         if (nranks == 1)
             global = std::move(out.state);
         else

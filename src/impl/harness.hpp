@@ -62,7 +62,9 @@ struct RankOutcome {
 
 /// Execute `plan` as rank `comm.rank()` of `decomp`: set up what the plan
 /// declares (host fields, halo exchange, and, when the plan uses the GPU,
-/// streams, device fields and staging on `device`), run `cfg.steps` steps
+/// streams, device fields and staging on `device`, whose constant memory
+/// this rank fills with the coefficients when `first_on_device`, i.e. when
+/// no earlier rank sharing the device does), run `cfg.steps` steps
 /// through the PlanExecutor between timing barriers, with every stream
 /// synchronized before the closing one, and finalize the rank's state.
 /// `device` must be non-null iff `plan.uses_gpu`. Collective calls make
@@ -72,7 +74,8 @@ struct RankOutcome {
                                         const SolverConfig& cfg,
                                         const core::Decomp3& decomp,
                                         msg::Communicator& comm,
-                                        gpu::Device* device);
+                                        gpu::Device* device,
+                                        bool first_on_device);
 
 /// Solve `cfg` with implementation `impl_id`: lay the job out (plan_job,
 /// whose errors are thrown on the calling thread) and run every rank's plan

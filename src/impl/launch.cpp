@@ -8,8 +8,8 @@
 #include <utility>
 
 #include "chaos/inject.hpp"
+#include "gpu/device.hpp"
 #include "impl/cpu_kernels.hpp"
-#include "impl/gpu_task.hpp"
 #include "impl/harness.hpp"
 #include "msg/transport/process.hpp"
 #include "msg/transport/wire.hpp"
@@ -184,12 +184,14 @@ std::vector<std::uint8_t> forked_worker(const SolverConfig& cfg,
 
     const int rank = comm.rank();
     const plan::StepPlan& plan = job.plans[static_cast<std::size_t>(rank)];
-    // Simulated devices are per process: this rank gets its own
-    // (tasks_per_gpu sharing is an in-process-only feature).
-    std::optional<DevicePool> pool;
-    if (plan.uses_gpu) pool.emplace(cfg.gpu_props, 1, 1, cfg.problem.coeffs());
+    // Simulated devices are per process: this rank gets its own and fills
+    // its constant memory itself (tasks_per_gpu sharing is an
+    // in-process-only feature).
+    std::optional<gpu::Device> device;
+    if (plan.uses_gpu) device.emplace(cfg.gpu_props);
     RankOutcome out = run_plan_rank(plan, cfg, job.decomp, comm,
-                                    pool ? &pool->device_for_rank(0) : nullptr);
+                                    device ? &*device : nullptr,
+                                    /*first_on_device=*/true);
 
     std::vector<chaos::FaultEvent> log;
     if (session) {

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "chaos/inject.hpp"
 #include "impl/cpu_kernels.hpp"
@@ -314,8 +315,7 @@ void PlanExecutor::sweep(std::size_t index, std::int64_t lo,
                                        rows, lo, hi, fuse);
         return;
     }
-    core::FusedSource fsrc;
-    if (has_source()) fsrc = {*ctx_.source, ctx_.origin, base_level()};
+    const core::FusedSource fsrc = step_source();
     if (plan_->var_coeff)
         core::apply_stencil_var_rows(*ctx_.coeff_cache, *ctx_.cur, *ctx_.nxt,
                                      rows, lo, hi, &fsrc, wrap_halo_);
@@ -416,24 +416,21 @@ void PlanExecutor::run_task(const plan::Task& task, std::size_t index) {
                                  *ctx_.boundary, ctx_.origin, base_level());
             break;
         case plan::Op::KernelStencil:
-        case plan::Op::KernelFace: {
-            GpuSource gsrc;
-            if (has_source())
-                gsrc = {*ctx_.source, ctx_.origin, base_level()};
+        case plan::Op::KernelFace:
             if (plan_->var_coeff)
                 launch_stencil_var(stream(p.stream), *ctx_.d_cur, *ctx_.d_nxt,
-                                   p.regions[0], *ctx_.coeff_cache, gsrc);
+                                   p.regions[0], *ctx_.coeff_cache,
+                                   step_source());
             else
                 launch_stencil(stream(p.stream), *ctx_.device, *ctx_.d_cur,
                                *ctx_.d_nxt, p.regions[0], ctx_.cfg->block_x,
-                               ctx_.cfg->block_y, gsrc, p.fuse);
+                               ctx_.cfg->block_y, step_source(), p.fuse);
             break;
-        }
         case plan::Op::Sync:
             for (int k = 0; k < p.sync_count; ++k) stream(k).synchronize();
             break;
         case plan::Op::Swap:
-            ctx_.d_cur->swap(*ctx_.d_nxt);
+            std::swap(*ctx_.d_cur, *ctx_.d_nxt);
             break;
     }
 }

@@ -94,9 +94,11 @@ class PlanExecutor {
     /// (plan::StepPlan::validate_error).
     void sweep(std::size_t index, std::int64_t lo, std::int64_t hi);
     [[nodiscard]] gpu::Stream& stream(int index);
-    /// True when a manufactured source is wired and active.
-    [[nodiscard]] bool has_source() const {
-        return ctx_.source != nullptr && ctx_.source->active();
+    /// This step's manufactured-source context for the sweeps and kernels;
+    /// inactive unless a source is wired and active.
+    [[nodiscard]] core::FusedSource step_source() const {
+        if (ctx_.source == nullptr || !ctx_.source->active()) return {};
+        return {*ctx_.source, ctx_.origin, base_level()};
     }
     /// Time level of the state this step starts from.
     [[nodiscard]] int base_level() const {

@@ -19,13 +19,13 @@ namespace impl = advect::impl;
 
 namespace {
 
-core::Field3 random_field(core::Extents3 n, unsigned seed) {
-    core::Field3 f(n);
+core::Field3 random_field(core::Extents3 n, unsigned seed, int halo = 1) {
+    core::Field3 f(n, halo);
     std::mt19937 rng(seed);
     std::uniform_real_distribution<double> d(-2.0, 2.0);
-    for (int k = -1; k <= n.nz; ++k)
-        for (int j = -1; j <= n.ny; ++j)
-            for (int i = -1; i <= n.nx; ++i) f(i, j, k) = d(rng);
+    for (int k = -halo; k < n.nz + halo; ++k)
+        for (int j = -halo; j < n.ny + halo; ++j)
+            for (int i = -halo; i < n.nx + halo; ++i) f(i, j, k) = d(rng);
     return f;
 }
 
@@ -34,7 +34,7 @@ void upload(gpu::Stream& s, impl::DeviceField& d, const core::Field3& h) {
 }
 
 core::Field3 download(gpu::Stream& s, const impl::DeviceField& d) {
-    core::Field3 out(d.extents());
+    core::Field3 out(d.extents(), d.halo_width());
     s.memcpy_d2h(out.raw(), d.buffer(), 0);
     s.synchronize();
     return out;
@@ -133,22 +133,28 @@ TEST(DeviceStencil, PartitionedRegionsEqualFullSweep) {
 }
 
 TEST(DevicePeriodicHalo, MatchesHostFill) {
+    // Widths 2 and 4 are the F-deep halos fused gpu_resident fills; no
+    // extent is smaller than the widest.
     const core::Extents3 n{6, 5, 4};
     gpu::Device dev(gpu::DeviceProps::tesla_c2050());
     auto s = dev.create_stream();
-    auto host = random_field(n, 14);
-    host.fill_halo(-5.0);
-    impl::DeviceField d(dev, n);
-    upload(s, d, host);
-    for (int dim = 0; dim < 3; ++dim) launch_periodic_halo(s, d, dim);
-    const auto result = download(s, d);
-    core::Field3 expect = host;
-    core::fill_periodic_halo(expect);
-    // Compare the full padded storage, halos included.
-    const auto a = result.raw();
-    const auto b = expect.raw();
-    for (std::size_t idx = 0; idx < a.size(); ++idx)
-        ASSERT_EQ(a[idx], b[idx]) << "padded offset " << idx;
+    for (const int width : {1, 2, 4}) {
+        auto host = random_field(n, 14, width);
+        host.fill_halo(-5.0);
+        impl::DeviceField d(dev, n, width);
+        upload(s, d, host);
+        for (int dim = 0; dim < 3; ++dim)
+            launch_periodic_halo(s, d, dim, width);
+        const auto result = download(s, d);
+        core::Field3 expect = host;
+        core::fill_periodic_halo(expect);
+        // Compare the full padded storage, halos included.
+        const auto a = result.raw();
+        const auto b = expect.raw();
+        for (std::size_t idx = 0; idx < a.size(); ++idx)
+            ASSERT_EQ(a[idx], b[idx])
+                << "width " << width << ", padded offset " << idx;
+    }
 }
 
 TEST(DevicePack, InteroperatesWithHostStaging) {
@@ -158,24 +164,30 @@ TEST(DevicePack, InteroperatesWithHostStaging) {
     auto host = random_field(n, 15);
     impl::DeviceField d(dev, n);
     upload(s, d, host);
-    const core::Range3 region{{-1, 0, 2}, {7, 4, 5}};  // includes halo cells
-    auto staging = dev.alloc(region.volume() + 3);
-    launch_pack(s, d, region, staging, /*offset=*/3);
-    std::vector<double> host_buf(region.volume() + 3);
-    s.memcpy_d2h(host_buf, staging, 0);
-    s.synchronize();
-    // Device pack order must equal core::pack order.
-    const auto expect = core::pack(host, region);
-    for (std::size_t i = 0; i < expect.size(); ++i)
-        ASSERT_EQ(host_buf[i + 3], expect[i]);
-    // Round-trip through unpack into a fresh field.
-    impl::DeviceField d2(dev, n);
-    launch_unpack(s, d2, region, staging, 3);
-    const auto back = download(s, d2);
-    for (int k = region.lo.k; k < region.hi.k; ++k)
-        for (int j = region.lo.j; j < region.hi.j; ++j)
-            for (int i = region.lo.i; i < region.hi.i; ++i)
-                ASSERT_EQ(back(i, j, k), host(i, j, k));
+    // A general region reaching into the halo, an x face (one point per
+    // row) and a region spanning the whole padded xy plane: the last two
+    // are core::pack's strided and single-run shortcuts.
+    for (const core::Range3 region : {core::Range3{{-1, 0, 2}, {7, 4, 5}},
+                                      core::Range3{{6, 0, 0}, {7, 6, 5}},
+                                      core::Range3{{-1, -1, 1}, {8, 7, 3}}}) {
+        auto staging = dev.alloc(region.volume() + 3);
+        launch_pack(s, d, region, staging, /*offset=*/3);
+        std::vector<double> host_buf(region.volume() + 3);
+        s.memcpy_d2h(host_buf, staging, 0);
+        s.synchronize();
+        // Device pack order must equal core::pack order.
+        const auto expect = core::pack(host, region);
+        for (std::size_t i = 0; i < expect.size(); ++i)
+            ASSERT_EQ(host_buf[i + 3], expect[i]);
+        // Round-trip through unpack into a fresh field.
+        impl::DeviceField d2(dev, n);
+        launch_unpack(s, d2, region, staging, 3);
+        const auto back = download(s, d2);
+        for (int k = region.lo.k; k < region.hi.k; ++k)
+            for (int j = region.lo.j; j < region.hi.j; ++j)
+                for (int i = region.lo.i; i < region.hi.i; ++i)
+                    ASSERT_EQ(back(i, j, k), host(i, j, k));
+    }
 }
 
 TEST(GpuStaging, FullExchangeRoundTrip) {
@@ -191,8 +203,12 @@ TEST(GpuStaging, FullExchangeRoundTrip) {
     upload(s, d, dev_host);
     impl::GpuStaging staging(dev, impl::mpi_halo_regions(n),
                              impl::boundary_shell_regions(n));
-    staging.enqueue_h2d(s, host, d);
-    staging.enqueue_d2h(s, d);
+    // The six steps in the order the §IV-F plans issue them as tasks.
+    staging.pack_inbound(host);
+    staging.enqueue_h2d_copy(s);
+    staging.enqueue_unpack_kernels(s, d);
+    staging.enqueue_pack_kernels(s, d);
+    staging.enqueue_d2h_copy(s);
     s.synchronize();
     core::Field3 mirror(n, 0.0);
     staging.unpack_outbound(mirror);
@@ -212,14 +228,12 @@ TEST(GpuStaging, FullExchangeRoundTrip) {
 }
 
 TEST(DevicePool, SharesDevicesAmongTasks) {
-    const auto coeffs = core::tensor_product_coeffs({1, 1, 1}, 1.0);
     impl::DevicePool pool(gpu::DeviceProps::tesla_c2050(), /*ntasks=*/6,
-                          /*tasks_per_gpu=*/4, coeffs);
+                          /*tasks_per_gpu=*/4);
     EXPECT_EQ(pool.device_count(), 2);
     EXPECT_EQ(&pool.device_for_rank(0), &pool.device_for_rank(3));
     EXPECT_NE(&pool.device_for_rank(3), &pool.device_for_rank(4));
-    EXPECT_THROW(impl::DevicePool(gpu::DeviceProps::tesla_c2050(), 4, 0,
-                                  coeffs),
+    EXPECT_THROW(impl::DevicePool(gpu::DeviceProps::tesla_c2050(), 4, 0),
                  std::invalid_argument);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "core/field.hpp"
 
 namespace core = advect::core;
@@ -69,10 +71,18 @@ TEST(Field3, DistinctAddressesPerIndex) {
 
 TEST(Field3, XIsContiguous) {
     core::Field3 f({8, 3, 3});
-    EXPECT_EQ(f.offset(1, 0, 0), f.offset(0, 0, 0) + 1);
-    EXPECT_EQ(f.offset(0, 1, 0), f.offset(0, 0, 0) + 10);  // nx + 2 halo
-    EXPECT_EQ(f.offset(0, 0, 1), f.offset(0, 0, 0) + 50);  // (nx+2)*(ny+2)
+    const auto v = f.view();
+    EXPECT_EQ(v.offset(1, 0, 0), v.offset(0, 0, 0) + 1);
+    EXPECT_EQ(v.offset(0, 1, 0), v.offset(0, 0, 0) + 10);  // nx + 2 halo
+    EXPECT_EQ(v.offset(0, 0, 1), v.offset(0, 0, 0) + 50);  // (nx+2)*(ny+2)
 }
+
+// Output routines take a FieldView: a temporary Field3 must not convert to
+// one, or a write into it (say, core::unpack(Field3(n), ...)) would be lost.
+static_assert(std::is_convertible_v<core::Field3&, core::FieldView>);
+static_assert(!std::is_convertible_v<core::Field3&&, core::FieldView>);
+static_assert(std::is_convertible_v<const core::Field3&, core::ConstFieldView>);
+static_assert(std::is_convertible_v<core::Field3&&, core::ConstFieldView>);
 
 TEST(Field3, CopyRegionFrom) {
     core::Field3 a({4, 4, 4}, 0.0);

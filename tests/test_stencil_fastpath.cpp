@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <random>
@@ -272,30 +273,64 @@ TEST(HaloFastPath, PackUnpackRoundTripAllFaces) {
     }
 }
 
+// Rows on both sides of pack's memcpy cutoff (contiguous runs of more than
+// 32 points): every x length up to the padded width, in a region that does
+// not span the padded xy plane, so each row is a run of its own.
+TEST(HaloFastPath, PackUnpackRowsOfEveryLength) {
+    Rng rng(62);
+    const core::Extents3 n{40, 3, 2};
+    core::Field3 f(n);
+    fill_random(f, rng);
+    for (int len = 1; len <= n.nx + 2; ++len) {
+        const core::Range3 region{{-1, 0, -1}, {len - 1, n.ny, n.nz + 1}};
+        const auto buf = core::pack(f, region);
+        const auto want = reference_pack(f, region);
+        ASSERT_EQ(buf.size(), want.size());
+        for (std::size_t q = 0; q < buf.size(); ++q)
+            ASSERT_TRUE(same_bits(buf[q], want[q])) << "len " << len;
+        core::Field3 g(n, -12345.0);
+        core::unpack(g, region, buf);
+        for (int k = -1; k <= n.nz; ++k)
+            for (int j = -1; j <= n.ny; ++j)
+                for (int i = -1; i <= n.nx; ++i)
+                    ASSERT_TRUE(same_bits(
+                        g(i, j, k), region.contains({i, j, k}) ? f(i, j, k)
+                                                               : -12345.0))
+                        << "len " << len << " (" << i << "," << j << "," << k
+                        << ")";
+    }
+}
+
 TEST(HaloFastPath, HaloFillParallelMatchesSerialPeriodicFill) {
     // dim -1 is the three-stage fill; 0..2 one stage alone, the open-face
-    // plans' per-dimension HaloFill, against fill_periodic_halo_dim.
+    // plans' per-dimension HaloFill, against fill_periodic_halo_dim. Halo
+    // widths 2 and 4 are the F-deep halos fused single_task fills; each
+    // runs wherever no extent is smaller.
     Rng rng(71);
     for (int threads : {1, 3}) {
         omp::ThreadTeam team(threads);
         for (int trial = 0; trial < 10; ++trial) {
             const auto n = random_extents(rng, 9);
-            core::Field3 start(n);
-            fill_random(start, rng);
-            for (int dim = -1; dim < 3; ++dim) {
-                core::Field3 f = start;
-                core::Field3 want = start;
-                if (dim < 0)
-                    core::fill_periodic_halo(want);
-                else
-                    core::fill_periodic_halo_dim(want, dim);
-                impl::halo_fill_parallel(team, f, dim);
-                for (int k = -1; k <= n.nz; ++k)
-                    for (int j = -1; j <= n.ny; ++j)
-                        for (int i = -1; i <= n.nx; ++i)
-                            ASSERT_TRUE(same_bits(f(i, j, k), want(i, j, k)))
-                                << "dim " << dim << " (" << i << "," << j
-                                << "," << k << ")";
+            for (const int width : {1, 2, 4}) {
+                if (width > std::min({n.nx, n.ny, n.nz})) continue;
+                core::Field3 start(n, width);
+                fill_random(start, rng);
+                for (int dim = -1; dim < 3; ++dim) {
+                    core::Field3 f = start;
+                    core::Field3 want = start;
+                    if (dim < 0)
+                        core::fill_periodic_halo(want);
+                    else
+                        core::fill_periodic_halo_dim(want, dim);
+                    impl::halo_fill_parallel(team, f, dim);
+                    // The whole padded storage, every halo layer included.
+                    const auto got = f.raw();
+                    const auto ref = want.raw();
+                    for (std::size_t q = 0; q < got.size(); ++q)
+                        ASSERT_TRUE(same_bits(got[q], ref[q]))
+                            << "width " << width << ", dim " << dim
+                            << ", padded offset " << q;
+                }
             }
         }
     }

@@ -24,8 +24,12 @@ TEST(GpuStaging, EmptyRegionListsAreNoOps) {
     EXPECT_EQ(staging.outbound_count(), 0u);
     core::Field3 host({4, 4, 4}, 1.0);
     impl::DeviceField d(dev, {4, 4, 4});
-    staging.enqueue_h2d(s, host, d);   // no-ops, must not enqueue anything
-    staging.enqueue_d2h(s, d);
+    // Every step is a no-op and must not enqueue anything.
+    staging.pack_inbound(host);
+    staging.enqueue_h2d_copy(s);
+    staging.enqueue_unpack_kernels(s, d);
+    staging.enqueue_pack_kernels(s, d);
+    staging.enqueue_d2h_copy(s);
     staging.unpack_outbound(host);
     s.synchronize();
     EXPECT_EQ(host(0, 0, 0), 1.0);

@@ -410,9 +410,8 @@ TEST(Launch, BadJobsThrowTypedErrorsInTheCaller) {
 
 TEST(Launch, OneRankJobsRunAsRankZeroOnEveryTransport) {
     // §IV-A/E ignore the task count: one rank thread in process, one worker
-    // process when forked. Every plan task and every device operation the
-    // rank body issues is rank 0's.
-    namespace trace = advect::trace;
+    // process when forked. Every span the job records is rank 0's, the
+    // device's setup sync (the coefficient upload) included.
     const auto cfg = small_config();  // asks for 4 tasks
     for (const char* id : {"single_task", "gpu_resident"}) {
         impl::LaunchOptions inproc;
@@ -424,12 +423,9 @@ TEST(Launch, OneRankJobsRunAsRankZeroOnEveryTransport) {
             const char* name = impl::transport_name(opts.transport);
             std::size_t checked = 0;
             for (const auto& s : report.spans) {
-                if (std::string(s.category) != "plan" &&
-                    s.lane != trace::Lane::Gpu && s.lane != trace::Lane::Pcie)
-                    continue;
                 ++checked;
-                EXPECT_EQ(s.rank, 0)
-                    << id << " over " << name << ": span " << s.name;
+                EXPECT_EQ(s.rank, 0) << id << " over " << name << ": span "
+                                     << s.category << "/" << s.name;
             }
             EXPECT_GT(checked, 0u) << id << " over " << name;
         }

@@ -28,7 +28,9 @@
 ///       pathology). --scenario selects a
 ///       named workload (docs/SCENARIOS.md): variable-coefficient velocity
 ///       and/or open boundaries. Output (solution check, fault log, trace
-///       summary) is identical across transports
+///       summary) is identical across transports. launch, submit and
+///       gameday exit 2 on a flag they do not take, a surplus positional
+///       or a --progress value other than on|off|poll|polled|thread
 ///   advectctl scenarios
 ///       list the named workload scenarios --scenario accepts
 ///   advectctl plan    [impl] [n] [tasks] [box] [out.json]
@@ -52,6 +54,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -87,6 +90,57 @@ namespace sched = advect::sched;
 namespace tune = advect::tune;
 
 namespace {
+
+/// Print "advectctl <cmd>: <what>" and exit 2, the usage-error status.
+[[noreturn]] void bad_argument(const char* cmd, const std::string& what) {
+    std::fprintf(stderr, "advectctl %s: %s\n", cmd, what.c_str());
+    std::exit(2);
+}
+
+/// One flag of a subcommand: `set` receives the argument after the flag,
+/// or "" for a switch, which takes none.
+struct Flag {
+    const char* name;
+    bool takes_value;
+    std::function<void(const std::string&)> set;
+};
+
+/// A setter that stores the flag's argument in `to`.
+std::function<void(const std::string&)> store(std::string& to) {
+    return [&to](const std::string& v) { to = v; };
+}
+
+/// The flag loop of launch, submit and gameday: each `--name` in `flags`
+/// runs its setter, and any argument not starting with "--" is a
+/// positional, at most `max_positionals` of them. An unknown flag, a flag
+/// missing its value and a surplus positional are usage errors (exit 2).
+std::vector<std::string> parse_flags(const char* cmd, int argc, char** argv,
+                                     const std::vector<Flag>& flags,
+                                     std::size_t max_positionals) {
+    std::vector<std::string> pos;
+    for (int i = 0; i < argc; ++i) {
+        const std::string a = argv[i];
+        if (a.rfind("--", 0) != 0) {
+            if (pos.size() == max_positionals)
+                bad_argument(cmd, "unexpected argument '" + a + "' (takes " +
+                                      std::to_string(max_positionals) +
+                                      " positional arguments at most)");
+            pos.push_back(a);
+            continue;
+        }
+        const auto f = std::find_if(flags.begin(), flags.end(),
+                                    [&](const Flag& f) { return a == f.name; });
+        if (f == flags.end()) bad_argument(cmd, "unknown flag '" + a + "'");
+        if (!f->takes_value) {
+            f->set("");
+        } else if (++i < argc) {
+            f->set(argv[i]);
+        } else {
+            bad_argument(cmd, "missing value for " + a);
+        }
+    }
+    return pos;
+}
 
 model::MachineSpec machine_by_name(const std::string& name) {
     if (name == "jaguarpf") return model::MachineSpec::jaguarpf();
@@ -297,40 +351,38 @@ int cmd_launch(int argc, char** argv) {
     double x = 200.0;
     std::uint64_t seed = 42;
     int ranks = 4;
-    std::vector<std::string> pos;
-    for (int i = 0; i < argc; ++i) {
-        const std::string a = argv[i];
-        const auto next = [&]() -> const char* {
-            if (++i >= argc) {
-                std::fprintf(stderr, "missing value for %s\n", a.c_str());
-                std::exit(2);
-            }
-            return argv[i];
-        };
-        if (a == "--transport")
-            opts.transport = impl::transport_from_name(next());
-        else if (a == "--progress") {
-            const std::string v = next();
-            opts.progress = (v == "off" || v == "poll" || v == "polled")
-                                ? msg::ProgressMode::Polled
-                                : msg::ProgressMode::Thread;
-        } else if (a == "--ranks")
-            ranks = std::atoi(next());
-        else if (a == "--chaos")
-            chaos_arg = next();
-        else if (a == "--scenario")
-            scenario_name = next();
-        else if (a == "--x")
-            x = std::atof(next());
-        else if (a == "--seed")
-            seed = std::strtoull(next(), nullptr, 10);
-        else if (a == "--trace") {
-            trace_path = next();
-            opts.trace = true;
-        } else {
-            pos.push_back(a);
-        }
-    }
+    const auto pos = parse_flags(
+        "launch", argc, argv,
+        {{"--transport", true,
+          [&](const std::string& v) {
+              opts.transport = impl::transport_from_name(v);
+          }},
+         {"--progress", true,
+          [&](const std::string& v) {
+              if (v == "on" || v == "thread")
+                  opts.progress = msg::ProgressMode::Thread;
+              else if (v == "off" || v == "poll" || v == "polled")
+                  opts.progress = msg::ProgressMode::Polled;
+              else
+                  bad_argument("launch", "--progress takes on, off, poll, "
+                                         "polled or thread, not '" +
+                                             v + "'");
+          }},
+         {"--ranks", true,
+          [&](const std::string& v) { ranks = std::atoi(v.c_str()); }},
+         {"--chaos", true, store(chaos_arg)},
+         {"--scenario", true, store(scenario_name)},
+         {"--x", true, [&](const std::string& v) { x = std::atof(v.c_str()); }},
+         {"--seed", true,
+          [&](const std::string& v) {
+              seed = std::strtoull(v.c_str(), nullptr, 10);
+          }},
+         {"--trace", true,
+          [&](const std::string& v) {
+              trace_path = v;
+              opts.trace = true;
+          }}},
+        4);
     const std::string id = !pos.empty() ? pos[0] : "cpu_gpu_overlap";
     impl::SolverConfig cfg;
     cfg.problem = core::AdvectionProblem::standard(
@@ -657,47 +709,37 @@ int cmd_submit(int argc, char** argv) {
     bool wait = false;
     service::JobSpec spec;
     spec.tenant = "cli";
-    std::vector<std::string> pos;
-    for (int i = 0; i < argc; ++i) {
-        const std::string a = argv[i];
-        const auto next = [&]() -> const char* {
-            if (++i >= argc) {
-                std::fprintf(stderr, "missing value for %s\n", a.c_str());
-                std::exit(2);
-            }
-            return argv[i];
-        };
-        if (a == "--socket")
-            socket_path = next();
-        else if (a == "--spec")
-            spec_path = next();
-        else if (a == "--tenant")
-            spec.tenant = next();
-        else if (a == "--priority")
-            spec.priority = std::atoi(next());
-        else if (a == "--deadline")
-            spec.deadline_s = std::atof(next());
-        else if (a == "--ranks")
-            spec.ranks = std::atoi(next());
-        else if (a == "--fuse")
-            spec.fuse = std::atoi(next());
-        else if (a == "--transport")
-            spec.transport = impl::transport_from_name(next());
-        else if (a == "--scenario")
-            spec.scenario = next();
-        else if (a == "--chaos")
-            spec.chaos = next();
-        else if (a == "--x")
-            spec.chaos_x = std::atof(next());
-        else if (a == "--seed")
-            spec.chaos_seed = std::strtoull(next(), nullptr, 10);
-        else if (a == "--state")
-            spec.return_state = true;
-        else if (a == "--wait")
-            wait = true;
-        else
-            pos.push_back(a);
-    }
+    const auto pos = parse_flags(
+        "submit", argc, argv,
+        {{"--socket", true, store(socket_path)},
+         {"--spec", true, store(spec_path)},
+         {"--tenant", true, store(spec.tenant)},
+         {"--priority", true,
+          [&](const std::string& v) { spec.priority = std::atoi(v.c_str()); }},
+         {"--deadline", true,
+          [&](const std::string& v) {
+              spec.deadline_s = std::atof(v.c_str());
+          }},
+         {"--ranks", true,
+          [&](const std::string& v) { spec.ranks = std::atoi(v.c_str()); }},
+         {"--fuse", true,
+          [&](const std::string& v) { spec.fuse = std::atoi(v.c_str()); }},
+         {"--transport", true,
+          [&](const std::string& v) {
+              spec.transport = impl::transport_from_name(v);
+          }},
+         {"--scenario", true, store(spec.scenario)},
+         {"--chaos", true, store(spec.chaos)},
+         {"--x", true,
+          [&](const std::string& v) { spec.chaos_x = std::atof(v.c_str()); }},
+         {"--seed", true,
+          [&](const std::string& v) {
+              spec.chaos_seed = std::strtoull(v.c_str(), nullptr, 10);
+          }},
+         {"--state", false,
+          [&](const std::string&) { spec.return_state = true; }},
+         {"--wait", false, [&](const std::string&) { wait = true; }}},
+        4);
     if (!spec_path.empty()) {
         std::FILE* f = std::fopen(spec_path.c_str(), "rb");
         if (f == nullptr) {
@@ -770,32 +812,22 @@ int cmd_drain(int argc, char** argv) {
 int cmd_gameday(int argc, char** argv) {
     namespace service = advect::service;
     service::GameDayConfig cfg;
-    for (int i = 0; i < argc; ++i) {
-        const std::string a = argv[i];
-        const auto next = [&]() -> const char* {
-            if (++i >= argc) {
-                std::fprintf(stderr, "missing value for %s\n", a.c_str());
-                std::exit(2);
-            }
-            return argv[i];
-        };
-        if (a == "--tenants")
-            cfg.tenants = std::atoi(next());
-        else if (a == "--jobs-per-weight")
-            cfg.jobs_per_weight = std::atoi(next());
-        else if (a == "--bench")
-            cfg.bench_path = next();
-        else if (a == "--label")
-            cfg.bench_label = next();
-        else if (a == "--socket")
-            cfg.socket_path = next();
-        else if (a == "--impl")
-            cfg.base.impl = next();
-        else if (a == "--no-verify")
-            cfg.verify_states = false;
-        else
-            cfg.scenario = a;
-    }
+    const auto pos = parse_flags(
+        "gameday", argc, argv,
+        {{"--tenants", true,
+          [&](const std::string& v) { cfg.tenants = std::atoi(v.c_str()); }},
+         {"--jobs-per-weight", true,
+          [&](const std::string& v) {
+              cfg.jobs_per_weight = std::atoi(v.c_str());
+          }},
+         {"--bench", true, store(cfg.bench_path)},
+         {"--label", true, store(cfg.bench_label)},
+         {"--socket", true, store(cfg.socket_path)},
+         {"--impl", true, store(cfg.base.impl)},
+         {"--no-verify", false,
+          [&](const std::string&) { cfg.verify_states = false; }}},
+        1);
+    if (!pos.empty()) cfg.scenario = pos[0];
     {
         // Stamp the trajectory entry with today's date, like
         // tools/record_bench.py does.
